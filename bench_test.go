@@ -1,9 +1,10 @@
-// Benchmarks regenerating every table and figure of the paper (one bench
-// per artifact, per DESIGN.md's experiment index), plus ablation benches
-// for the design choices the reproduction encodes. Figure benches share
-// one simulated small-scale suite and measure the analysis passes; the
-// ablation benches run whole simulations per configuration and report
-// domain metrics via b.ReportMetric.
+// Benchmarks for the reproduction's layers and end-to-end runs, plus
+// ablation benches for the design choices it encodes. BenchmarkReplay and
+// BenchmarkWriteReport share one simulated small-scale suite and measure
+// the two analysis layers every figure passes through: reducing the
+// retained traces, then rendering the report. The ablation benches run
+// whole simulations per configuration and report domain metrics via
+// b.ReportMetric.
 package repro
 
 import (
@@ -14,7 +15,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/analysis"
 	"repro/internal/analysis/streaming"
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -37,7 +37,7 @@ var (
 	benchSuite *experiments.Suite
 )
 
-// suite simulates the 9-cell small-scale suite once for all figure benches.
+// suite simulates the 9-cell small-scale suite once for the analysis benches.
 func suite(b *testing.B) *experiments.Suite {
 	b.Helper()
 	benchOnce.Do(func() {
@@ -50,191 +50,35 @@ func suite(b *testing.B) *experiments.Suite {
 	return benchSuite
 }
 
-func BenchmarkTable1(b *testing.B) {
+// BenchmarkReplay is the analysis layer: the nine retained traces fed
+// through streaming.Replay, one fresh reducer per cell, each finalized so
+// every per-figure product is computed.
+func BenchmarkReplay(b *testing.B) {
 	s := suite(b)
+	traces := append([]*trace.MemTrace{s.T2011}, s.T2019...)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		analysis.Table1(s.T2011, s.T2019)
-	}
-}
-
-func BenchmarkFigure1(b *testing.B) {
-	s := suite(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, tr := range s.T2019 {
-			analysis.MachineShapes(tr)
+		for _, tr := range traces {
+			r := streaming.Replay(tr, streaming.Config{Meta: tr.Meta, SnapshotAt: s.Scale.Horizon / 2})
+			r.Transitions() // the first accessor finalizes the reducer
 		}
 	}
 }
 
-func BenchmarkFigure2(b *testing.B) {
+// BenchmarkWriteReport is the report-rendering layer: the full report
+// rendered from finished reducers (replayed once, before the timer).
+func BenchmarkWriteReport(b *testing.B) {
 	s := suite(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var series []analysis.TierSeries
-		for _, tr := range s.T2019 {
-			series = append(series, analysis.UsageSeries(tr))
-		}
-		analysis.AverageSeries(series)
+	r := &experiments.Suite{Scale: s.Scale, T2011: s.T2011, T2019: s.T2019, Stats: s.Stats}
+	if err := r.WriteReport(io.Discard); err != nil {
+		b.Fatal(err)
 	}
-}
-
-func BenchmarkFigure3(b *testing.B) {
-	s := suite(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, tr := range s.T2019 {
-			analysis.AverageUsageByTier(tr, s.Scale.Warmup)
+		if err := r.WriteReport(io.Discard); err != nil {
+			b.Fatal(err)
 		}
 	}
-}
-
-func BenchmarkFigure4(b *testing.B) {
-	s := suite(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var series []analysis.TierSeries
-		for _, tr := range s.T2019 {
-			series = append(series, analysis.AllocationSeries(tr))
-		}
-		analysis.AverageSeries(series)
-	}
-}
-
-func BenchmarkFigure5(b *testing.B) {
-	s := suite(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, tr := range s.T2019 {
-			analysis.AverageAllocationByTier(tr, s.Scale.Warmup)
-		}
-	}
-}
-
-func BenchmarkFigure6(b *testing.B) {
-	s := suite(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, tr := range s.T2019 {
-			analysis.MachineUtilizationCCDF(tr, s.Scale.Horizon/2)
-		}
-	}
-}
-
-func BenchmarkFigure7(b *testing.B) {
-	s := suite(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		analysis.Transitions(s.T2019[6]) // cell g, as the paper uses
-	}
-}
-
-func BenchmarkAllocSetStats(b *testing.B) {
-	s := suite(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		analysis.AllocSets(s.T2019)
-	}
-}
-
-func BenchmarkTerminationStats(b *testing.B) {
-	s := suite(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		analysis.Terminations(s.T2019)
-	}
-}
-
-func BenchmarkFigure8(b *testing.B) {
-	s := suite(b)
-	b.ResetTimer()
-	var ratio float64
-	for i := 0; i < b.N; i++ {
-		r19 := analysis.Rates(s.T2019)
-		r11 := analysis.Rates([]*trace.MemTrace{s.T2011})
-		ratio = stats.Quantile(r19.JobsPerHour, 0.5) / stats.Quantile(r11.JobsPerHour, 0.5) *
-			float64(s.Scale.Machines2011) / float64(s.Scale.Machines2019)
-	}
-	b.ReportMetric(ratio, "jobrate-ratio-2019/2011")
-}
-
-func BenchmarkFigure9(b *testing.B) {
-	s := suite(b)
-	b.ResetTimer()
-	var resub float64
-	for i := 0; i < b.N; i++ {
-		r19 := analysis.Rates(s.T2019)
-		resub = stats.Quantile(r19.AllTasksPerHour, 0.5)/stats.Quantile(r19.NewTasksPerHour, 0.5) - 1
-	}
-	b.ReportMetric(resub, "resubmit-ratio-2019")
-}
-
-func BenchmarkFigure10(b *testing.B) {
-	s := suite(b)
-	b.ResetTimer()
-	var median float64
-	for i := 0; i < b.N; i++ {
-		all, _ := analysis.SchedulingDelays(s.T2019)
-		median = stats.Quantile(all, 0.5)
-	}
-	b.ReportMetric(median, "median-delay-s")
-}
-
-func BenchmarkFigure11(b *testing.B) {
-	s := suite(b)
-	b.ResetTimer()
-	var beb95 float64
-	for i := 0; i < b.N; i++ {
-		tpj := analysis.TasksPerJob(s.T2019)
-		beb95 = stats.Quantile(tpj[trace.TierBestEffortBatch], 0.95)
-	}
-	b.ReportMetric(beb95, "beb-p95-tasks")
-}
-
-func BenchmarkTable2(b *testing.B) {
-	s := suite(b)
-	b.ResetTimer()
-	var col analysis.Table2Column
-	for i := 0; i < b.N; i++ {
-		ints := analysis.JobUsageIntegrals(s.T2019)
-		col = analysis.ComputeTable2Column(ints.CPUHours)
-	}
-	b.ReportMetric(col.Top1Share*100, "top1%-load-share")
-	b.ReportMetric(col.C2, "C2")
-}
-
-func BenchmarkFigure12(b *testing.B) {
-	s := suite(b)
-	ints := analysis.JobUsageIntegrals(s.T2019)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		analysis.UsageCCDF(ints.CPUHours)
-		analysis.UsageCCDF(ints.MemHours)
-	}
-}
-
-func BenchmarkFigure13(b *testing.B) {
-	s := suite(b)
-	ints := analysis.JobUsageIntegrals(s.T2019)
-	b.ResetTimer()
-	var r float64
-	for i := 0; i < b.N; i++ {
-		_, r = analysis.CPUMemCorrelation(ints, 100)
-	}
-	b.ReportMetric(r, "pearson-r")
-}
-
-func BenchmarkFigure14(b *testing.B) {
-	s := suite(b)
-	b.ResetTimer()
-	var gap float64
-	for i := 0; i < b.N; i++ {
-		slack := analysis.SlackSamples(s.T2019)
-		gap = stats.Quantile(slack[trace.ScalingNone], 0.5) -
-			stats.Quantile(slack[trace.ScalingFull], 0.5)
-	}
-	b.ReportMetric(gap, "autopilot-slack-gap-pp")
 }
 
 // BenchmarkSuiteParallelism measures the multi-cell suite at parallelism
@@ -426,7 +270,8 @@ func BenchmarkAblationPlacement(b *testing.B) {
 				p := workload.Profile2019("a", 60)
 				p.Policy = policy.value
 				res := core.Run(p, core.Options{Horizon: 4 * sim.Hour, Seed: 3})
-				cpu, _ := analysis.MachineUtilization(res.Trace, 3*sim.Hour)
+				cpu, _ := streaming.Replay(res.Trace,
+					streaming.Config{Meta: res.Trace.Meta, SnapshotAt: 3 * sim.Hour}).MachineUtilization()
 				s := stats.Summarize(cpu)
 				spread = s.Variance
 			}
@@ -473,8 +318,8 @@ func BenchmarkAblationBatchQueue(b *testing.B) {
 				p := workload.Profile2019("b", 60)
 				p.BatchQueue = mode.on
 				res := core.Run(p, core.Options{Horizon: 4 * sim.Hour, Seed: 3})
-				_, byTier := analysis.SchedulingDelays([]*trace.MemTrace{res.Trace})
-				p99 = stats.Quantile(byTier[trace.TierBestEffortBatch], 0.99)
+				delays := streaming.Replay(res.Trace, streaming.Config{Meta: res.Trace.Meta}).Delays()
+				p99 = stats.Quantile(delays.ByTier[trace.TierBestEffortBatch], 0.99)
 			}
 			b.ReportMetric(p99, "beb-delay-p99-s")
 		})

@@ -14,9 +14,11 @@
 // core.Options.NoMemTrace — every trace row is folded online by one
 // streaming reducer per cell (internal/analysis/streaming) and then
 // dropped, so resident memory is bounded by per-job reducer state
-// instead of growing with the horizon. The report is byte-identical to
-// the retained-trace path for the same scale and seed; CI enforces that
-// with a differential test and a peak-heap ceiling. -export DIR
+// instead of growing with the horizon. Without it the suite retains every
+// trace and replays each through the same reducer when the report is
+// written, so the report is byte-identical either way for the same scale
+// and seed; CI enforces that with a differential test and a peak-heap
+// ceiling. -export DIR
 // additionally writes each cell's trace as sharded CSV (one WriteDir-
 // layout subdirectory per cell) while simulating, through the buffered
 // sink pipeline; it implies -stream.
@@ -64,7 +66,6 @@ import (
 	"runtime"
 
 	"repro/internal/cliflags"
-	"repro/internal/core"
 	"repro/internal/experiments"
 )
 
@@ -154,33 +155,28 @@ func main() {
 		log.Printf("simulating 9 cells, parallelism=%d, %s", effective, mode)
 	}
 
-	var report func(io.Writer) error
-	var stats []core.CellResult
+	var suite *experiments.Suite
 	rs := obs.MeasureRun(func() {
-		if *stream {
-			suite, err := experiments.RunSuiteStreaming(sc, experiments.StreamingOptions{ExportDir: *export})
-			if err != nil {
-				log.Fatal(err)
-			}
-			if *export != "" {
-				log.Printf("wrote 9 CSV shards under %s", *export)
-			}
-			report = suite.WriteReport
-			stats = suite.Stats
-		} else {
-			suite := experiments.RunSuite(sc)
-			report = suite.WriteReport
-			stats = suite.Stats
+		if !*stream {
+			suite = experiments.RunSuite(sc)
+			return
+		}
+		suite, err = experiments.RunSuiteStreaming(sc, experiments.StreamingOptions{ExportDir: *export})
+		if err != nil {
+			log.Fatal(err)
+		}
+		if *export != "" {
+			log.Printf("wrote 9 CSV shards under %s", *export)
 		}
 	})
 	if *recordDir != "" {
-		if err := experiments.SaveWorkloads(*recordDir, stats); err != nil {
+		if err := experiments.SaveWorkloads(*recordDir, suite.Stats); err != nil {
 			log.Fatal(err)
 		}
-		log.Printf("recorded %d cell workloads under %s", len(stats), *recordDir)
+		log.Printf("recorded %d cell workloads under %s", len(suite.Stats), *recordDir)
 	}
 	fmt.Fprintf(w, "simulated 9 cells in %s\n\n", rs)
-	if err := report(w); err != nil {
+	if err := suite.WriteReport(w); err != nil {
 		log.Fatal(err)
 	}
 }

@@ -49,9 +49,10 @@
 //     simulates the paper's nine cells (2011 plus 2019 a–h) through the
 //     engine and regenerates every table and figure. Each per-figure
 //     analysis is factored into a per-cell accumulation plus an exact
-//     merge, with two interchangeable front ends: post-hoc over a
-//     retained MemTrace, or online via streaming.CellReducer — a
-//     trace.Sink that folds rows as the simulation emits them.
+//     merge, and has one implementation: streaming.CellReducer, a
+//     trace.Sink fed rows live as the simulation emits them or by
+//     streaming.Replay from a retained MemTrace, and checked against a
+//     test-only walker oracle.
 //   - internal/sweep — parameter sweeps over the engine: seed × variant
 //     × cell grids with common-random-numbers seeding, per-point
 //     streaming reducers, and cross-seed statistics (mean, stddev, 95%
@@ -100,21 +101,23 @@
 // # Streaming analysis
 //
 // Trace retention, not simulation, used to bound suite horizons: every
-// figure was computed post-hoc over a fully retained MemTrace, so memory
-// grew with every usage record and life-cycle event. The streaming
-// reducers invert that: experiments.RunSuiteStreaming runs all nine
+// figure needed a fully retained MemTrace, so memory grew with every
+// usage record and life-cycle event. The streaming reducers invert
+// that: experiments.RunSuiteStreaming runs all nine
 // cells with core.Options.NoMemTrace, each cell's rows folding through
 // one streaming.CellReducer (and, optionally, a sharded CSV export via
 // trace.DirSink behind a BufferedSink) before being dropped. Reducer
 // state grows only with the number of jobs and tasks — the aggregates
 // the figures inherently need — cutting the LargeScale suite's peak heap
-// by ~10x (BENCH_PR4.json) while producing a report byte-identical to
-// the retained path: within a cell both paths fold the same terms in
-// emission order, and cross-cell merges share the same Finish/Merge
-// functions. CI pins this with differential tests (reducer vs post-hoc,
-// streamed report vs retained report), a benchmark-regression gate
-// against the checked-in baselines, and a peak-HeapAlloc ceiling on the
-// LargeScale streaming suite.
+// by ~10x (BENCH_PR4.json). The reducer is the only analysis
+// implementation: experiments.RunSuite retains the traces instead and
+// renders its report by feeding each through the same reducer with
+// streaming.Replay, which yields the same state as the live stream, so
+// both runs produce byte-identical reports. CI pins this with
+// differential tests (reducer vs a test-only walker oracle on all nine
+// cells, live vs replayed reducer, streamed report vs retained report),
+// a benchmark-regression gate against the checked-in baselines, and a
+// peak-HeapAlloc ceiling on the LargeScale streaming suite.
 //
 // # Usage pipeline and sink batching
 //

@@ -9,7 +9,7 @@ package main
 import (
 	"fmt"
 
-	"repro/internal/analysis"
+	"repro/internal/analysis/streaming"
 	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -24,7 +24,7 @@ func main() {
 
 	fmt.Printf("cell %s: %d autopilot limit updates issued\n\n", profile.Name, res.AutopilotUpdates)
 
-	slack := analysis.SlackSamples([]*trace.MemTrace{tr})
+	slack := streaming.Replay(tr, streaming.Config{Meta: tr.Meta}).SlackSamples()
 	fmt.Printf("%-14s %10s %10s %10s %10s\n", "strategy", "p25 (%)", "p50 (%)", "p75 (%)", "samples")
 	for _, mode := range []trace.VerticalScaling{trace.ScalingFull, trace.ScalingConstrained, trace.ScalingNone} {
 		xs := slack[mode]

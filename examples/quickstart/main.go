@@ -10,6 +10,7 @@ import (
 	"os"
 
 	"repro/internal/analysis"
+	"repro/internal/analysis/streaming"
 	"repro/internal/core"
 	"repro/internal/report"
 	"repro/internal/sim"
@@ -35,8 +36,11 @@ func main() {
 	}
 	fmt.Println("trace validates: submit-before-terminate, capacity, parent-kill all hold")
 
+	// The analyses: replay the retained trace through a reducer.
+	r := streaming.Replay(tr, streaming.Config{Meta: tr.Meta, SnapshotAt: tr.Meta.Duration / 2})
+
 	// Tier-level utilization, Figure 3 style.
-	av := analysis.AverageUsageByTier(tr, 2*sim.Hour)
+	av := r.AverageUsageByTier(2 * sim.Hour)
 	if err := report.TierAveragesTable(os.Stdout,
 		"\naverage usage as fraction of cell capacity (post-warmup)",
 		[]analysis.TierAverages{av}, "cpu"); err != nil {
@@ -44,7 +48,8 @@ func main() {
 	}
 
 	// Scheduling delay, Figure 10 style.
-	all, byTier := analysis.SchedulingDelays([]*trace.MemTrace{tr})
+	delays := r.Delays()
+	all, byTier := delays.All, delays.ByTier
 	fmt.Printf("\nscheduling delay: median %.2fs (n=%d)\n", stats.Quantile(all, 0.5), len(all))
 	for _, tier := range trace.Tiers() {
 		if xs := byTier[tier]; len(xs) > 0 {

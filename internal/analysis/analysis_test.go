@@ -1,10 +1,16 @@
-package analysis
+// The analyses run through their one implementation, the streaming
+// reducer, replayed over retained fixture traces; the building blocks of
+// this package (merges, finishes, Table 1/2 derivations) are exercised on
+// the reducer's products.
+package analysis_test
 
 import (
 	"math"
 	"sync"
 	"testing"
 
+	. "repro/internal/analysis"
+	"repro/internal/analysis/streaming"
 	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -12,28 +18,34 @@ import (
 	"repro/internal/workload"
 )
 
-// Shared fixtures: one 2019 cell and one 2011 cell, simulated once.
+// Shared fixtures: one 2019 cell and one 2011 cell, simulated once and
+// replayed through reducers whose Figure 6 snapshot sits at 8 hours.
 var (
 	fixtureOnce sync.Once
-	fx2019      *trace.MemTrace
-	fx2011      *trace.MemTrace
+	fx2019      *streaming.CellReducer
+	fx2011      *streaming.CellReducer
 )
 
-func fixtures(t *testing.T) (*trace.MemTrace, *trace.MemTrace) {
+const snapshotAt = 8 * sim.Hour
+
+func fixtures(t *testing.T) (*streaming.CellReducer, *streaming.CellReducer) {
 	t.Helper()
 	fixtureOnce.Do(func() {
-		fx2019 = core.Run(workload.Profile2019("a", 150),
-			core.Options{Horizon: 12 * sim.Hour, Seed: 42}).Trace
-		fx2011 = core.Run(workload.Profile2011(150),
-			core.Options{Horizon: 12 * sim.Hour, Seed: 43}).Trace
+		replay := func(tr *trace.MemTrace) *streaming.CellReducer {
+			return streaming.Replay(tr, streaming.Config{Meta: tr.Meta, SnapshotAt: snapshotAt})
+		}
+		fx2019 = replay(core.Run(workload.Profile2019("a", 150),
+			core.Options{Horizon: 12 * sim.Hour, Seed: 42}).Trace)
+		fx2011 = replay(core.Run(workload.Profile2011(150),
+			core.Options{Horizon: 12 * sim.Hour, Seed: 43}).Trace)
 	})
 	return fx2019, fx2011
 }
 
 func TestMachineShapes(t *testing.T) {
 	t19, t11 := fixtures(t)
-	s19 := MachineShapes(t19)
-	s11 := MachineShapes(t11)
+	s19 := t19.MachineShapes()
+	s11 := t11.MachineShapes()
 	total := 0
 	for _, p := range s19 {
 		total += p.Count
@@ -57,7 +69,7 @@ func TestMachineShapes(t *testing.T) {
 
 func TestUsageSeriesBounds(t *testing.T) {
 	t19, _ := fixtures(t)
-	s := UsageSeries(t19)
+	s := t19.UsageSeries()
 	if len(s.Hours) != 12 {
 		t.Fatalf("series length %d", len(s.Hours))
 	}
@@ -78,8 +90,8 @@ func TestUsageSeriesBounds(t *testing.T) {
 
 func TestAllocationExceedsUsage(t *testing.T) {
 	t19, _ := fixtures(t)
-	u := UsageSeries(t19)
-	a := AllocationSeries(t19)
+	u := t19.UsageSeries()
+	a := t19.AllocationSeries()
 	// In steady state, summed allocation must exceed summed usage
 	// (limits are oversized; §4).
 	var usageSum, allocSum float64
@@ -95,8 +107,8 @@ func TestAllocationExceedsUsage(t *testing.T) {
 }
 
 func TestAverageSeries(t *testing.T) {
-	a := newTierSeries(2)
-	b := newTierSeries(2)
+	a := NewSeriesAccum(2).Finish(trace.Resources{})
+	b := NewSeriesAccum(2).Finish(trace.Resources{})
 	a.CPU[trace.TierFree][0] = 0.2
 	b.CPU[trace.TierFree][0] = 0.4
 	avg := AverageSeries([]TierSeries{a, b})
@@ -107,7 +119,7 @@ func TestAverageSeries(t *testing.T) {
 
 func TestAverageUsageByTier(t *testing.T) {
 	t19, _ := fixtures(t)
-	av := AverageUsageByTier(t19, 6*sim.Hour)
+	av := t19.AverageUsageByTier(6 * sim.Hour)
 	if av.Cell != "a" {
 		t.Fatalf("cell %q", av.Cell)
 	}
@@ -125,7 +137,7 @@ func TestAverageUsageByTier(t *testing.T) {
 
 func TestMachineUtilization(t *testing.T) {
 	t19, _ := fixtures(t)
-	cpu, mem := MachineUtilization(t19, 8*sim.Hour)
+	cpu, mem := t19.MachineUtilization() // at snapshotAt
 	if len(cpu) != 150 || len(mem) != 150 {
 		t.Fatalf("utilization samples %d/%d", len(cpu), len(mem))
 	}
@@ -139,7 +151,7 @@ func TestMachineUtilization(t *testing.T) {
 			t.Fatalf("mem utilization %v out of range", v)
 		}
 	}
-	ccdfC, ccdfM := MachineUtilizationCCDF(t19, 8*sim.Hour)
+	ccdfC, ccdfM := stats.CCDF(cpu), stats.CCDF(mem)
 	if len(ccdfC) == 0 || len(ccdfM) == 0 {
 		t.Fatal("empty ccdf")
 	}
@@ -150,7 +162,7 @@ func TestMachineUtilization(t *testing.T) {
 
 func TestTransitions(t *testing.T) {
 	t19, _ := fixtures(t)
-	ts := Transitions(t19)
+	ts := t19.Transitions()
 	if len(ts) == 0 {
 		t.Fatal("no transitions")
 	}
@@ -182,7 +194,7 @@ func TestTransitions(t *testing.T) {
 
 func TestAllocSetStats(t *testing.T) {
 	t19, t11 := fixtures(t)
-	st := AllocSets([]*trace.MemTrace{t19})
+	st := FinishAllocSets([]AllocSetAccum{t19.AllocSetAccum()})
 	if st.AllocSets == 0 {
 		t.Fatal("no alloc sets in 2019 trace")
 	}
@@ -200,7 +212,7 @@ func TestAllocSetStats(t *testing.T) {
 			st.MemUtilInAlloc, st.MemUtilOutside)
 	}
 	// 2011: no alloc sets at all.
-	st11 := AllocSets([]*trace.MemTrace{t11})
+	st11 := FinishAllocSets([]AllocSetAccum{t11.AllocSetAccum()})
 	if st11.AllocSets != 0 {
 		t.Fatalf("2011 alloc sets %d", st11.AllocSets)
 	}
@@ -208,7 +220,7 @@ func TestAllocSetStats(t *testing.T) {
 
 func TestTerminationStats(t *testing.T) {
 	t19, _ := fixtures(t)
-	st := Terminations([]*trace.MemTrace{t19})
+	st := FinishTerminations([]TerminationAccum{t19.TerminationAccum()})
 	if st.Collections == 0 {
 		t.Fatal("no collections")
 	}
@@ -232,8 +244,8 @@ func TestTerminationStats(t *testing.T) {
 
 func TestRates(t *testing.T) {
 	t19, t11 := fixtures(t)
-	r19 := Rates([]*trace.MemTrace{t19})
-	r11 := Rates([]*trace.MemTrace{t11})
+	r19 := MergeRates([]SubmissionRates{t19.Rates()})
+	r11 := MergeRates([]SubmissionRates{t11.Rates()})
 	if len(r19.JobsPerHour) != 12 {
 		t.Fatalf("rate samples %d", len(r19.JobsPerHour))
 	}
@@ -263,7 +275,8 @@ func TestRates(t *testing.T) {
 
 func TestSchedulingDelays(t *testing.T) {
 	t19, _ := fixtures(t)
-	all, byTier := SchedulingDelays([]*trace.MemTrace{t19})
+	d := MergeDelays([]DelaySamples{t19.Delays()})
+	all, byTier := d.All, d.ByTier
 	if len(all) < 100 {
 		t.Fatalf("too few delay samples: %d", len(all))
 	}
@@ -281,7 +294,7 @@ func TestSchedulingDelays(t *testing.T) {
 
 func TestTasksPerJobByTier(t *testing.T) {
 	t19, _ := fixtures(t)
-	tpj := TasksPerJob([]*trace.MemTrace{t19})
+	tpj := MergeSamplesBy([]map[trace.Tier][]float64{t19.TasksPerJob()})
 	beb95 := stats.Quantile(tpj[trace.TierBestEffortBatch], 0.95)
 	prod95 := stats.Quantile(tpj[trace.TierProduction], 0.95)
 	if !(beb95 > prod95) {
@@ -291,7 +304,7 @@ func TestTasksPerJobByTier(t *testing.T) {
 
 func TestUsageIntegralsAndTable2(t *testing.T) {
 	t19, _ := fixtures(t)
-	ints := JobUsageIntegrals([]*trace.MemTrace{t19})
+	ints := MergeIntegrals([]UsageIntegrals{t19.UsageIntegrals()})
 	if len(ints.CPUHours) != len(ints.MemHours) || len(ints.CPUHours) == 0 {
 		t.Fatalf("integrals %d/%d", len(ints.CPUHours), len(ints.MemHours))
 	}
@@ -355,7 +368,7 @@ func TestCPUMemCorrelationSynthetic(t *testing.T) {
 
 func TestCPUMemCorrelationOnTrace(t *testing.T) {
 	t19, _ := fixtures(t)
-	ints := JobUsageIntegrals([]*trace.MemTrace{t19})
+	ints := MergeIntegrals([]UsageIntegrals{t19.UsageIntegrals()})
 	points, r := CPUMemCorrelation(ints, 100)
 	if len(points) >= 5 && !math.IsNaN(r) && r < 0.2 {
 		t.Fatalf("trace correlation %v suspiciously low", r)
@@ -364,7 +377,7 @@ func TestCPUMemCorrelationOnTrace(t *testing.T) {
 
 func TestSlackSamples(t *testing.T) {
 	t19, _ := fixtures(t)
-	slack := SlackSamples([]*trace.MemTrace{t19})
+	slack := MergeSamplesBy([]map[trace.VerticalScaling][]float64{t19.SlackSamples()})
 	full := slack[trace.ScalingFull]
 	none := slack[trace.ScalingNone]
 	if len(full) == 0 || len(none) == 0 {
@@ -385,7 +398,8 @@ func TestSlackSamples(t *testing.T) {
 
 func TestTable1(t *testing.T) {
 	t19, t11 := fixtures(t)
-	rows := Table1(t11, []*trace.MemTrace{t19})
+	rows := Table1FromInventories(t11.Inventory(), t11.Meta().Duration,
+		MergeInventories([]Inventory{t19.Inventory()}), t19.Meta().Duration, 1)
 	if len(rows) != 11 {
 		t.Fatalf("rows %d", len(rows))
 	}

@@ -1,11 +1,10 @@
-// Package streaming computes every per-figure analysis of the paper
-// online, as the simulation emits trace rows, instead of post-hoc over a
-// fully retained MemTrace. A CellReducer is a trace.Sink: attach one per
-// cell via core.Options.ExtraSinks (typically together with NoMemTrace)
-// and, once the simulation has finished, read the same structs the
-// analysis package produces — bit-identical to the post-hoc path on the
-// same trace, which is what lets full suites run with no trace retention
-// and still emit a byte-identical report.
+// Package streaming is the repository's one analysis implementation: a
+// CellReducer computes every per-figure analysis of the paper from a
+// cell's trace rows, one row at a time. It is a trace.Sink, fed one of
+// two ways: live, attached via core.Options.ExtraSinks (typically
+// together with NoMemTrace) while the cell simulates, or by Replay from a
+// retained MemTrace. Once the rows are in, its accessors return the
+// per-cell structs package analysis merges across cells.
 //
 // # Memory model
 //
@@ -20,14 +19,17 @@
 //
 // # Exactness contract
 //
-// Bit-identity with the post-hoc path holds because both sides are built
-// from the same factored pieces in package analysis: within a cell both
-// fold the same terms in trace-emission order (MemTrace replays tables in
-// emission order, and the reducer sees rows in emission order), and
-// normalizations/merges happen in shared Finish/Merge functions. Two
-// trace invariants are relied on and checked by the differential tests: a
-// collection's first event precedes all rows that reference it, and
-// machine capacities are fully announced before the first usage record.
+// A reducer fed live and one fed by Replay from the retained trace of the
+// same run are bit-identical (TestReplayMatchesLive), so a report is
+// byte-identical whichever way its reducers were fed. Both are checked
+// against a test-only walker oracle (posthoc_test.go) that computes each
+// analysis directly over a retained MemTrace, table by table; the
+// reducer and the oracle share the Finish/Merge functions of package
+// analysis, and both fold the same terms in trace-emission order. Two
+// trace invariants are relied on and checked by those differential
+// tests: a collection's first event precedes all rows that reference it,
+// and machine capacities are fully announced before the first usage
+// record.
 package streaming
 
 import (
@@ -239,8 +241,8 @@ func (r *CellReducer) InstanceEvent(ev trace.InstanceEvent) {
 			if h := int(ev.Time / sim.Hour); h >= 0 && h < len(r.rates.AllTasksPerHour) {
 				r.rates.AllTasksPerHour[h]++
 				if !in.submitted {
-					// First *counted* SUBMIT, mirroring the post-hoc
-					// seen-set which only records counted events.
+					// First *counted* SUBMIT: an uncounted one (outside
+					// the horizon) does not mark the task as seen.
 					in.submitted = true
 					r.rates.NewTasksPerHour[h]++
 				}
@@ -467,8 +469,7 @@ func (r *CellReducer) UsageIntegrals() analysis.UsageIntegrals {
 }
 
 // SlackSamples returns the cell's Figure 14 slack samples by strategy.
-// Like the post-hoc analysis.SlackSamplesOf, the map holds only
-// strategies that produced at least one sample.
+// The map holds only strategies that produced at least one sample.
 func (r *CellReducer) SlackSamples() map[trace.VerticalScaling][]float64 {
 	r.finalize()
 	out := make(map[trace.VerticalScaling][]float64)
@@ -491,7 +492,8 @@ func (r *CellReducer) Counts() string {
 // collection events before the rows that reference them preserves the
 // same first-event-precedes-references invariant the live stream
 // provides, so a replayed reducer is bit-identical to one that consumed
-// the stream live — the property the differential tests pin.
+// the stream live — the property TestReplayMatchesLive pins. Replay is
+// how tools analyse a trace read back from disk.
 func Replay(tr *trace.MemTrace, cfg Config) *CellReducer {
 	r := NewCellReducer(cfg)
 	for _, ev := range tr.MachineEvents {

@@ -29,11 +29,13 @@ func (s scalarOnly) Flush()                                   { trace.Flush(s.ou
 // interposes scalarOnly around every reducer, export buffer and export
 // writer, so each usage row travels the pre-batching one-call-per-record
 // path end to end.
-func runSuiteStreamingDelivery(t *testing.T, sc Scale, exportDir string, scalar bool) *StreamingSuite {
+func runSuiteStreamingDelivery(t *testing.T, sc Scale, exportDir string, scalar bool) *Suite {
 	t.Helper()
 	specs := SuiteSpecs(sc)
-	r2011, r2019 := SuiteReducers(sc)
-	reducers := append([]*streaming.CellReducer{r2011}, r2019...)
+	reducers := make([]*streaming.CellReducer, len(specs))
+	for i, spec := range specs {
+		reducers[i] = NewCellReducerFor(spec)
+	}
 
 	engine.AttachSinks(specs, func(i int) trace.Sink {
 		if scalar {
@@ -59,7 +61,7 @@ func runSuiteStreamingDelivery(t *testing.T, sc Scale, exportDir string, scalar 
 		specs[i].Options.ExtraSinks = append(specs[i].Options.ExtraSinks, export)
 	}
 
-	s := &StreamingSuite{Scale: sc, R2011: r2011, R2019: r2019}
+	s := &Suite{Scale: sc, cells: reducers}
 	for _, r := range engine.Run(specs, engine.Options{Parallelism: sc.Parallelism}) {
 		s.Stats = append(s.Stats, *r)
 	}

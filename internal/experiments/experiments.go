@@ -4,21 +4,26 @@
 // cmd/borgexperiments and the repository's benchmark suite, and the source
 // of EXPERIMENTS.md.
 //
-// The report renders from an abstract per-cell analysis surface with two
-// implementations: RunSuite retains each cell's MemTrace and analyzes it
-// post-hoc, while RunSuiteStreaming attaches one streaming.CellReducer
-// per cell and simulates with core.Options.NoMemTrace, folding every row
-// online so memory stays bounded by the number of jobs rather than the
-// number of trace rows. Both paths produce byte-identical reports for the
-// same scale and seed (the differential test in this package is CI's
-// acceptance gate for that).
+// The report has one analysis implementation: one streaming.CellReducer
+// per cell, fed either live or by streaming.Replay. RunSuiteStreaming
+// attaches the reducers to each cell's sink pipeline and simulates with
+// core.Options.NoMemTrace, folding every row online so memory stays
+// bounded by the number of jobs rather than the number of trace rows.
+// RunSuite retains each cell's MemTrace instead, and Suite.WriteReport
+// replays the retained traces through fresh reducers on first use. Both
+// produce byte-identical reports for the same scale and seed (the
+// differential test in this package is CI's acceptance gate for that),
+// and the reducer itself is checked against a test-only walker oracle in
+// package streaming.
 package experiments
 
 import (
 	"fmt"
 	"io"
+	"path/filepath"
 
 	"repro/internal/analysis"
+	"repro/internal/analysis/streaming"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/progress"
@@ -98,15 +103,18 @@ func LargeScale() Scale {
 		Horizon: 48 * sim.Hour, Warmup: 16 * sim.Hour, Seed: 1}
 }
 
-// Suite holds the simulated traces for one scale (the retained-trace
-// path).
+// Suite is one run of the nine-cell suite and the only type that renders
+// its report. Every figure comes from the per-cell reducers: built live
+// by RunSuiteStreaming, or replayed from T2011/T2019 on first use when
+// the suite retained its traces (RunSuite, or a literal holding traces
+// read back from disk).
 type Suite struct {
 	Scale Scale
-	T2011 *trace.MemTrace
-	T2019 []*trace.MemTrace // cells a–h in order
-	Stats []core.CellResult
+	T2011 *trace.MemTrace   // nil when streamed
+	T2019 []*trace.MemTrace // cells a–h in order; nil when streamed
+	Stats []core.CellResult // CellResult.Trace is nil when streamed
 
-	an *suiteAnalyses // lazily built post-hoc analysis surface
+	cells []*streaming.CellReducer // 2011 cell, then a–h; see reducers
 }
 
 // SuiteProfiles builds the suite's nine cell profiles — the 2011 cell at
@@ -172,22 +180,70 @@ func SuiteSpecs(sc Scale) []engine.Spec {
 // RunSuite simulates the 2011 cell and the eight 2019 cells, sc.Parallelism
 // cells at a time, retaining every cell's full trace in memory.
 func RunSuite(sc Scale) *Suite {
-	s := &Suite{Scale: sc}
-	specs := SuiteSpecs(sc)
-	ri := engine.NewRunInstruments(sc.Metrics, sc.Timeline, len(specs))
-	ri.Apply(specs)
-	results := engine.Run(specs, ri.Wrap(sc.engineOptions(len(specs))))
-	s.T2011 = results[0].Trace
-	s.Stats = append(s.Stats, *results[0])
-	for _, r := range results[1:] {
-		s.T2019 = append(s.T2019, r.Trace)
-		s.Stats = append(s.Stats, *r)
-	}
+	s, _ := runSuite(sc, false, StreamingOptions{}) // only exports can fail
 	return s
 }
 
-// RateNormalization returns the factor converting this suite's per-cell
-// 2019 rates to paper scale (12,000 machines).
+// RunSuiteStreaming simulates the nine-cell suite with NoMemTrace: every
+// trace row streams through the per-cell reducer (and optional CSV export
+// shard) and is dropped, so memory stays bounded by per-job reducer state
+// instead of growing with the horizon.
+func RunSuiteStreaming(sc Scale, opts StreamingOptions) (*Suite, error) {
+	return runSuite(sc, true, opts)
+}
+
+// runSuite is the body of both runners: stream selects live reducers
+// (and opts' export shards) over trace retention.
+func runSuite(sc Scale, stream bool, opts StreamingOptions) (*Suite, error) {
+	specs := SuiteSpecs(sc)
+	s := &Suite{Scale: sc}
+	var exports []*trace.DirSink
+	if stream {
+		s.cells = make([]*streaming.CellReducer, len(specs))
+		for i := range specs {
+			s.cells[i] = NewCellReducerFor(specs[i])
+			o := &specs[i].Options
+			o.NoMemTrace = true
+			o.ExtraSinks = append(o.ExtraSinks, s.cells[i])
+			if opts.ExportDir == "" {
+				continue
+			}
+			shard := filepath.Join(opts.ExportDir, ShardDirName(i, specs[i].Profile.Name))
+			ds, err := trace.NewDirSink(shard, s.cells[i].Meta())
+			if err != nil {
+				closeExports(exports)
+				return nil, err
+			}
+			exports = append(exports, ds)
+			// core.Run flushes the pipeline at end of simulation, which
+			// drains this buffer into the shard before Close below.
+			o.ExtraSinks = append(o.ExtraSinks, trace.NewBufferedSink(ds, opts.ExportBatch))
+		}
+	}
+
+	ri := engine.NewRunInstruments(sc.Metrics, sc.Timeline, len(specs))
+	ri.Apply(specs)
+	results := engine.Run(specs, ri.Wrap(sc.engineOptions(len(specs))))
+	for _, r := range results {
+		s.Stats = append(s.Stats, *r)
+	}
+	if !stream {
+		s.T2011 = results[0].Trace
+		for _, r := range results[1:] {
+			s.T2019 = append(s.T2019, r.Trace)
+		}
+	}
+	for _, ds := range exports {
+		if err := ds.Close(); err != nil {
+			closeExports(exports)
+			return nil, err
+		}
+	}
+	return s, nil
+}
+
+// RateNormalization2019 returns the factor converting this suite's
+// per-cell 2019 rates to paper scale (12,000 machines).
 func (s *Suite) RateNormalization2019() float64 {
 	return float64(workload.ReferenceMachines) / float64(s.Scale.Machines2019)
 }
@@ -197,122 +253,57 @@ func (s *Suite) RateNormalization2011() float64 {
 	return float64(workload.ReferenceMachines) / float64(s.Scale.Machines2011)
 }
 
-// --- the per-cell analysis surface ---
-
-// cellAnalyses is everything the report needs from one simulated cell.
-// streaming.CellReducer satisfies it directly (online); traceCell adapts
-// a retained MemTrace (post-hoc).
-type cellAnalyses interface {
-	Meta() trace.Meta
-	MachineShapes() []analysis.ShapePoint
-	UsageSeries() analysis.TierSeries
-	AllocationSeries() analysis.TierSeries
-	AverageUsageByTier(warmup sim.Time) analysis.TierAverages
-	AverageAllocationByTier(warmup sim.Time) analysis.TierAverages
-	MachineUtilization() (cpu, mem []float64)
-	Transitions() []analysis.Transition
-	Inventory() analysis.Inventory
-	AllocSetAccum() analysis.AllocSetAccum
-	TerminationAccum() analysis.TerminationAccum
-	Rates() analysis.SubmissionRates
-	Delays() analysis.DelaySamples
-	TasksPerJob() map[trace.Tier][]float64
-	UsageIntegrals() analysis.UsageIntegrals
-	SlackSamples() map[trace.VerticalScaling][]float64
-}
-
-// traceCell is the post-hoc adapter: every method delegates to the
-// analysis package over the retained trace. at is the Figure 6 snapshot
-// instant.
-type traceCell struct {
-	tr *trace.MemTrace
-	at sim.Time
-}
-
-func (c traceCell) Meta() trace.Meta                      { return c.tr.Meta }
-func (c traceCell) MachineShapes() []analysis.ShapePoint  { return analysis.MachineShapes(c.tr) }
-func (c traceCell) UsageSeries() analysis.TierSeries      { return analysis.UsageSeries(c.tr) }
-func (c traceCell) AllocationSeries() analysis.TierSeries { return analysis.AllocationSeries(c.tr) }
-func (c traceCell) Transitions() []analysis.Transition    { return analysis.Transitions(c.tr) }
-func (c traceCell) Inventory() analysis.Inventory         { return analysis.InventoryOf(c.tr) }
-func (c traceCell) AllocSetAccum() analysis.AllocSetAccum { return analysis.AllocSetAccumOf(c.tr) }
-func (c traceCell) Rates() analysis.SubmissionRates       { return analysis.RatesOf(c.tr) }
-func (c traceCell) Delays() analysis.DelaySamples         { return analysis.DelaysOf(c.tr) }
-func (c traceCell) TasksPerJob() map[trace.Tier][]float64 { return analysis.TasksPerJobOf(c.tr) }
-func (c traceCell) UsageIntegrals() analysis.UsageIntegrals {
-	return analysis.JobUsageIntegralsOf(c.tr)
-}
-func (c traceCell) TerminationAccum() analysis.TerminationAccum {
-	return analysis.TerminationAccumOf(c.tr)
-}
-func (c traceCell) AverageUsageByTier(warmup sim.Time) analysis.TierAverages {
-	return analysis.AverageUsageByTier(c.tr, warmup)
-}
-func (c traceCell) AverageAllocationByTier(warmup sim.Time) analysis.TierAverages {
-	return analysis.AverageAllocationByTier(c.tr, warmup)
-}
-func (c traceCell) MachineUtilization() (cpu, mem []float64) {
-	return analysis.MachineUtilization(c.tr, c.at)
-}
-func (c traceCell) SlackSamples() map[trace.VerticalScaling][]float64 {
-	return analysis.SlackSamplesOf(c.tr)
-}
-
-// suiteAnalyses assembles the nine cells' analysis surfaces for report
-// rendering: the 2011 cell plus the 2019 cells a–h in order.
-type suiteAnalyses struct {
-	sc    Scale
-	c2011 cellAnalyses
-	c2019 []cellAnalyses
-}
-
-func (s *Suite) analyses() *suiteAnalyses {
-	if s.an == nil {
-		at := s.Scale.Horizon / 2
-		a := &suiteAnalyses{sc: s.Scale, c2011: traceCell{s.T2011, at}}
-		for _, tr := range s.T2019 {
-			a.c2019 = append(a.c2019, traceCell{tr, at})
+// reducers returns the 2011 cell's reducer and the 2019 cells' (a–h).
+// A suite without live reducers replays its retained traces on first
+// use, with the Figure 6 snapshot at mid-horizon as NewCellReducerFor
+// pins it live.
+func (s *Suite) reducers() (c2011 *streaming.CellReducer, c2019 []*streaming.CellReducer) {
+	if s.cells == nil {
+		for _, tr := range append([]*trace.MemTrace{s.T2011}, s.T2019...) {
+			s.cells = append(s.cells, streaming.Replay(tr,
+				streaming.Config{Meta: tr.Meta, SnapshotAt: s.Scale.Horizon / 2}))
 		}
-		s.an = a
 	}
-	return s.an
+	return s.cells[0], s.cells[1:]
 }
 
-func (a *suiteAnalyses) rates2019() analysis.SubmissionRates {
-	cells := make([]analysis.SubmissionRates, len(a.c2019))
-	for i, c := range a.c2019 {
+func (s *Suite) rates2019() analysis.SubmissionRates {
+	_, c2019 := s.reducers()
+	cells := make([]analysis.SubmissionRates, len(c2019))
+	for i, c := range c2019 {
 		cells[i] = c.Rates()
 	}
 	return analysis.MergeRates(cells)
 }
 
-func (a *suiteAnalyses) integrals2019() analysis.UsageIntegrals {
-	cells := make([]analysis.UsageIntegrals, len(a.c2019))
-	for i, c := range a.c2019 {
+func (s *Suite) integrals2019() analysis.UsageIntegrals {
+	_, c2019 := s.reducers()
+	cells := make([]analysis.UsageIntegrals, len(c2019))
+	for i, c := range c2019 {
 		cells[i] = c.UsageIntegrals()
 	}
 	return analysis.MergeIntegrals(cells)
 }
 
 // WriteReport emits every artifact to w.
-func (a *suiteAnalyses) WriteReport(w io.Writer) error {
+func (s *Suite) WriteReport(w io.Writer) error {
 	steps := []func(io.Writer) error{
-		a.WriteTable1,
-		a.WriteFigure1,
-		a.WriteFigures2and4,
-		a.WriteFigures3and5,
-		a.WriteFigure6,
-		a.WriteFigure7,
-		a.WriteAllocSetStats,
-		a.WriteTerminationStats,
-		a.WriteFigure8,
-		a.WriteFigure9,
-		a.WriteFigure10,
-		a.WriteFigure11,
-		a.WriteTable2,
-		a.WriteFigure12,
-		a.WriteFigure13,
-		a.WriteFigure14,
+		s.writeTable1,
+		s.writeFigure1,
+		s.writeFigures2and4,
+		s.writeFigures3and5,
+		s.writeFigure6,
+		s.writeFigure7,
+		s.writeAllocSetStats,
+		s.writeTerminationStats,
+		s.writeFigure8,
+		s.writeFigure9,
+		s.writeFigure10,
+		s.writeFigure11,
+		s.writeTable2,
+		s.writeFigure12,
+		s.writeFigure13,
+		s.writeFigure14,
 	}
 	for _, step := range steps {
 		if err := step(w); err != nil {
@@ -325,24 +316,26 @@ func (a *suiteAnalyses) WriteReport(w io.Writer) error {
 	return nil
 }
 
-// WriteTable1 emits the trace-comparison inventory.
-func (a *suiteAnalyses) WriteTable1(w io.Writer) error {
-	fmt.Fprintf(w, "== Table 1: trace comparison (scale %q) ==\n", a.sc.Name)
-	cells := make([]analysis.Inventory, len(a.c2019))
-	for i, c := range a.c2019 {
+// writeTable1 emits the trace-comparison inventory.
+func (s *Suite) writeTable1(w io.Writer) error {
+	c2011, c2019 := s.reducers()
+	fmt.Fprintf(w, "== Table 1: trace comparison (scale %q) ==\n", s.Scale.Name)
+	cells := make([]analysis.Inventory, len(c2019))
+	for i, c := range c2019 {
 		cells[i] = c.Inventory()
 	}
 	rows := analysis.Table1FromInventories(
-		a.c2011.Inventory(), a.c2011.Meta().Duration,
-		analysis.MergeInventories(cells), a.c2019[0].Meta().Duration, len(a.c2019))
+		c2011.Inventory(), c2011.Meta().Duration,
+		analysis.MergeInventories(cells), c2019[0].Meta().Duration, len(c2019))
 	return report.Table1(w, rows)
 }
 
-// WriteFigure1 emits machine shape populations.
-func (a *suiteAnalyses) WriteFigure1(w io.Writer) error {
+// writeFigure1 emits machine shape populations.
+func (s *Suite) writeFigure1(w io.Writer) error {
+	_, c2019 := s.reducers()
 	fmt.Fprintln(w, "== Figure 1: machine shapes (2019, all cells) ==")
 	counts := make(map[trace.Resources]int)
-	for _, c := range a.c2019 {
+	for _, c := range c2019 {
 		for _, p := range c.MachineShapes() {
 			counts[trace.Resources{CPU: p.CPU, Mem: p.Mem}] += p.Count
 		}
@@ -355,17 +348,18 @@ func (a *suiteAnalyses) WriteFigure1(w io.Writer) error {
 	return report.Table(w, []string{"NCU", "NMU", "machines"}, rows)
 }
 
-// WriteFigures2and4 emits the hourly usage and allocation series.
-func (a *suiteAnalyses) WriteFigures2and4(w io.Writer) error {
+// writeFigures2and4 emits the hourly usage and allocation series.
+func (s *Suite) writeFigures2and4(w io.Writer) error {
+	c2011, c2019 := s.reducers()
 	var use19, alloc19 []analysis.TierSeries
-	for _, c := range a.c2019 {
+	for _, c := range c2019 {
 		use19 = append(use19, c.UsageSeries())
 		alloc19 = append(alloc19, c.AllocationSeries())
 	}
 	avgUse := analysis.AverageSeries(use19)
 	avgAlloc := analysis.AverageSeries(alloc19)
-	u11 := a.c2011.UsageSeries()
-	a11 := a.c2011.AllocationSeries()
+	u11 := c2011.UsageSeries()
+	a11 := c2011.AllocationSeries()
 
 	if err := report.TierSeriesTable(w, "== Figure 2a: 2011 CPU usage (fraction of capacity/hour) ==", u11, "cpu"); err != nil {
 		return err
@@ -391,14 +385,15 @@ func (a *suiteAnalyses) WriteFigures2and4(w io.Writer) error {
 	return report.TierSeriesTable(w, "== Figure 4d: 2019 memory allocation (avg of 8 cells) ==", avgAlloc, "mem")
 }
 
-// WriteFigures3and5 emits the per-cell tier averages.
-func (a *suiteAnalyses) WriteFigures3and5(w io.Writer) error {
+// writeFigures3and5 emits the per-cell tier averages.
+func (s *Suite) writeFigures3and5(w io.Writer) error {
+	c2011, c2019 := s.reducers()
 	var use, alloc []analysis.TierAverages
-	use = append(use, a.c2011.AverageUsageByTier(a.sc.Warmup))
-	alloc = append(alloc, a.c2011.AverageAllocationByTier(a.sc.Warmup))
-	for _, c := range a.c2019 {
-		use = append(use, c.AverageUsageByTier(a.sc.Warmup))
-		alloc = append(alloc, c.AverageAllocationByTier(a.sc.Warmup))
+	use = append(use, c2011.AverageUsageByTier(s.Scale.Warmup))
+	alloc = append(alloc, c2011.AverageAllocationByTier(s.Scale.Warmup))
+	for _, c := range c2019 {
+		use = append(use, c.AverageUsageByTier(s.Scale.Warmup))
+		alloc = append(alloc, c.AverageAllocationByTier(s.Scale.Warmup))
 	}
 	if err := report.TierAveragesTable(w, "== Figure 3 (CPU): average usage by tier and cell ==", use, "cpu"); err != nil {
 		return err
@@ -412,17 +407,18 @@ func (a *suiteAnalyses) WriteFigures3and5(w io.Writer) error {
 	return report.TierAveragesTable(w, "== Figure 5 (mem) ==", alloc, "mem")
 }
 
-// WriteFigure6 emits machine-utilization CCDF quantiles per cell at the
+// writeFigure6 emits machine-utilization CCDF quantiles per cell at the
 // mid-trace snapshot.
-func (a *suiteAnalyses) WriteFigure6(w io.Writer) error {
+func (s *Suite) writeFigure6(w io.Writer) error {
+	c2011, c2019 := s.reducers()
 	fmt.Fprintln(w, "== Figure 6: machine utilization at mid-trace (upper quantiles) ==")
 	probs := []float64{0.9, 0.5, 0.1}
 	headers := []string{"cell/resource", "P>0.9", "median", "P>0.1"}
 	var rows [][]string
-	cpu11, mem11 := a.c2011.MachineUtilization()
+	cpu11, mem11 := c2011.MachineUtilization()
 	rows = append(rows, report.CCDFQuantiles("2011 cpu", cpu11, probs))
 	rows = append(rows, report.CCDFQuantiles("2011 mem", mem11, probs))
-	for i, c := range a.c2019 {
+	for i, c := range c2019 {
 		cpu, mem := c.MachineUtilization()
 		cell := workload.Cells2019()[i]
 		rows = append(rows, report.CCDFQuantiles(cell+" cpu", cpu, probs))
@@ -431,17 +427,19 @@ func (a *suiteAnalyses) WriteFigure6(w io.Writer) error {
 	return report.Table(w, headers, rows)
 }
 
-// WriteFigure7 emits cell g's transition counts, as the paper does.
-func (a *suiteAnalyses) WriteFigure7(w io.Writer) error {
+// writeFigure7 emits cell g's transition counts, as the paper does.
+func (s *Suite) writeFigure7(w io.Writer) error {
+	_, c2019 := s.reducers()
 	gIdx := 6 // cell g
 	return report.Transitions(w, "== Figure 7: state transitions (cell g) ==",
-		a.c2019[gIdx].Transitions(), 20)
+		c2019[gIdx].Transitions(), 20)
 }
 
-// WriteAllocSetStats emits §5.1's numbers.
-func (a *suiteAnalyses) WriteAllocSetStats(w io.Writer) error {
-	accums := make([]analysis.AllocSetAccum, len(a.c2019))
-	for i, c := range a.c2019 {
+// writeAllocSetStats emits §5.1's numbers.
+func (s *Suite) writeAllocSetStats(w io.Writer) error {
+	_, c2019 := s.reducers()
+	accums := make([]analysis.AllocSetAccum, len(c2019))
+	for i, c := range c2019 {
 		accums[i] = c.AllocSetAccum()
 	}
 	st := analysis.FinishAllocSets(accums)
@@ -458,10 +456,11 @@ func (a *suiteAnalyses) WriteAllocSetStats(w io.Writer) error {
 	return report.Table(w, []string{"metric", "measured", "paper"}, rows)
 }
 
-// WriteTerminationStats emits §5.2's numbers.
-func (a *suiteAnalyses) WriteTerminationStats(w io.Writer) error {
-	accums := make([]analysis.TerminationAccum, len(a.c2019))
-	for i, c := range a.c2019 {
+// writeTerminationStats emits §5.2's numbers.
+func (s *Suite) writeTerminationStats(w io.Writer) error {
+	_, c2019 := s.reducers()
+	accums := make([]analysis.TerminationAccum, len(c2019))
+	for i, c := range c2019 {
 		accums[i] = c.TerminationAccum()
 	}
 	st := analysis.FinishTerminations(accums)
@@ -477,13 +476,14 @@ func (a *suiteAnalyses) WriteTerminationStats(w io.Writer) error {
 	return report.Table(w, []string{"metric", "measured", "paper"}, rows)
 }
 
-// WriteFigure8 emits job-submission-rate distributions.
-func (a *suiteAnalyses) WriteFigure8(w io.Writer) error {
+// writeFigure8 emits job-submission-rate distributions.
+func (s *Suite) writeFigure8(w io.Writer) error {
+	c2011, _ := s.reducers()
 	fmt.Fprintln(w, "== Figure 8: job submission rate (jobs/hour, normalized to 12k machines) ==")
-	r19 := a.rates2019()
-	r11 := a.c2011.Rates()
-	n19 := scaleAll(r19.JobsPerHour, a.norm2019())
-	n11 := scaleAll(r11.JobsPerHour, a.norm2011())
+	r19 := s.rates2019()
+	r11 := c2011.Rates()
+	n19 := scaleAll(r19.JobsPerHour, s.RateNormalization2019())
+	n11 := scaleAll(r11.JobsPerHour, s.RateNormalization2011())
 	rows := [][]string{
 		statRow("2011", n11),
 		statRow("2019 per-cell", n19),
@@ -494,17 +494,18 @@ func (a *suiteAnalyses) WriteFigure8(w io.Writer) error {
 	return report.Table(w, []string{"series", "median", "mean", "p90", "note"}, rows)
 }
 
-// WriteFigure9 emits task-submission-rate distributions and the
+// writeFigure9 emits task-submission-rate distributions and the
 // resubmission ratio.
-func (a *suiteAnalyses) WriteFigure9(w io.Writer) error {
+func (s *Suite) writeFigure9(w io.Writer) error {
+	c2011, _ := s.reducers()
 	fmt.Fprintln(w, "== Figure 9: task submission rate (tasks/hour, normalized) ==")
-	r19 := a.rates2019()
-	r11 := a.c2011.Rates()
+	r19 := s.rates2019()
+	r11 := c2011.Rates()
 	rows := [][]string{
-		statRow("2011 new tasks", scaleAll(r11.NewTasksPerHour, a.norm2011())),
-		statRow("2011 all tasks", scaleAll(r11.AllTasksPerHour, a.norm2011())),
-		statRow("2019 new tasks", scaleAll(r19.NewTasksPerHour, a.norm2019())),
-		statRow("2019 all tasks", scaleAll(r19.AllTasksPerHour, a.norm2019())),
+		statRow("2011 new tasks", scaleAll(r11.NewTasksPerHour, s.RateNormalization2011())),
+		statRow("2011 all tasks", scaleAll(r11.AllTasksPerHour, s.RateNormalization2011())),
+		statRow("2019 new tasks", scaleAll(r19.NewTasksPerHour, s.RateNormalization2019())),
+		statRow("2019 all tasks", scaleAll(r19.AllTasksPerHour, s.RateNormalization2019())),
 	}
 	resub19 := stats.Quantile(r19.AllTasksPerHour, 0.5)/stats.Quantile(r19.NewTasksPerHour, 0.5) - 1
 	resub11 := stats.Quantile(r11.AllTasksPerHour, 0.5)/stats.Quantile(r11.NewTasksPerHour, 0.5) - 1
@@ -513,15 +514,16 @@ func (a *suiteAnalyses) WriteFigure9(w io.Writer) error {
 	return report.Table(w, []string{"series", "median", "mean", "p90", "note"}, rows)
 }
 
-// WriteFigure10 emits scheduling-delay distributions by era and tier.
-func (a *suiteAnalyses) WriteFigure10(w io.Writer) error {
+// writeFigure10 emits scheduling-delay distributions by era and tier.
+func (s *Suite) writeFigure10(w io.Writer) error {
+	c2011, c2019 := s.reducers()
 	fmt.Fprintln(w, "== Figure 10: job scheduling delay (seconds, ready -> first task running) ==")
-	cells := make([]analysis.DelaySamples, len(a.c2019))
-	for i, c := range a.c2019 {
+	cells := make([]analysis.DelaySamples, len(c2019))
+	for i, c := range c2019 {
 		cells[i] = c.Delays()
 	}
 	d19 := analysis.MergeDelays(cells)
-	d11 := a.c2011.Delays()
+	d11 := c2011.Delays()
 	rows := [][]string{
 		delayRow("2011 all", d11.All),
 		delayRow("2019 all", d19.All),
@@ -539,11 +541,12 @@ func (a *suiteAnalyses) WriteFigure10(w io.Writer) error {
 	return report.Table(w, []string{"series", "median", "p90", "p99", "n"}, rows)
 }
 
-// WriteFigure11 emits tasks-per-job quantiles by tier.
-func (a *suiteAnalyses) WriteFigure11(w io.Writer) error {
+// writeFigure11 emits tasks-per-job quantiles by tier.
+func (s *Suite) writeFigure11(w io.Writer) error {
+	_, c2019 := s.reducers()
 	fmt.Fprintln(w, "== Figure 11: tasks per job by tier (2019) ==")
-	cells := make([]map[trace.Tier][]float64, len(a.c2019))
-	for i, c := range a.c2019 {
+	cells := make([]map[trace.Tier][]float64, len(c2019))
+	for i, c := range c2019 {
 		cells[i] = c.TasksPerJob()
 	}
 	tpj := analysis.MergeSamplesBy(cells)
@@ -565,10 +568,11 @@ func (a *suiteAnalyses) WriteFigure11(w io.Writer) error {
 	return report.Table(w, []string{"tier", "p80", "p95", "p99", "jobs"}, rows)
 }
 
-// WriteTable2 emits the resource-hour distribution statistics.
-func (a *suiteAnalyses) WriteTable2(w io.Writer) error {
-	i19 := a.integrals2019()
-	i11 := a.c2011.UsageIntegrals()
+// writeTable2 emits the resource-hour distribution statistics.
+func (s *Suite) writeTable2(w io.Writer) error {
+	c2011, _ := s.reducers()
+	i19 := s.integrals2019()
+	i11 := c2011.UsageIntegrals()
 	if err := report.Table2(w, "== Table 2 (2011): per-job resource-hours ==",
 		analysis.ComputeTable2Column(i11.CPUHours), analysis.ComputeTable2Column(i11.MemHours)); err != nil {
 		return err
@@ -577,10 +581,11 @@ func (a *suiteAnalyses) WriteTable2(w io.Writer) error {
 		analysis.ComputeTable2Column(i19.CPUHours), analysis.ComputeTable2Column(i19.MemHours))
 }
 
-// WriteFigure12 emits the log-log CCDF of per-job resource-hours.
-func (a *suiteAnalyses) WriteFigure12(w io.Writer) error {
-	i19 := a.integrals2019()
-	i11 := a.c2011.UsageIntegrals()
+// writeFigure12 emits the log-log CCDF of per-job resource-hours.
+func (s *Suite) writeFigure12(w io.Writer) error {
+	c2011, _ := s.reducers()
+	i19 := s.integrals2019()
+	i11 := c2011.UsageIntegrals()
 	grid := analysis.LogGrid(1e-5, 1e3, 1)
 	return report.CCDFSeries(w, "== Figure 12: CCDF of resource-usage-hours per job ==", grid,
 		map[string][]float64{
@@ -591,10 +596,10 @@ func (a *suiteAnalyses) WriteFigure12(w io.Writer) error {
 		})
 }
 
-// WriteFigure13 emits the CPU/memory consumption correlation.
-func (a *suiteAnalyses) WriteFigure13(w io.Writer) error {
+// writeFigure13 emits the CPU/memory consumption correlation.
+func (s *Suite) writeFigure13(w io.Writer) error {
 	fmt.Fprintln(w, "== Figure 13: median NMU-hours per 1-NCU-hour bucket (2019) ==")
-	ints := a.integrals2019()
+	ints := s.integrals2019()
 	points, pearson := analysis.CPUMemCorrelation(ints, 100)
 	rows := make([][]string, 0, len(points)+1)
 	for _, p := range points {
@@ -604,11 +609,12 @@ func (a *suiteAnalyses) WriteFigure13(w io.Writer) error {
 	return report.Table(w, []string{"NCU-hours bucket", "median NMU-hours", "jobs"}, rows)
 }
 
-// WriteFigure14 emits the peak-slack CCDF by vertical-scaling strategy.
-func (a *suiteAnalyses) WriteFigure14(w io.Writer) error {
+// writeFigure14 emits the peak-slack CCDF by vertical-scaling strategy.
+func (s *Suite) writeFigure14(w io.Writer) error {
+	_, c2019 := s.reducers()
 	fmt.Fprintln(w, "== Figure 14: peak NCU slack by autoscaling strategy (2019) ==")
-	cells := make([]map[trace.VerticalScaling][]float64, len(a.c2019))
-	for i, c := range a.c2019 {
+	cells := make([]map[trace.VerticalScaling][]float64, len(c2019))
+	for i, c := range c2019 {
 		cells[i] = c.SlackSamples()
 	}
 	slack := analysis.MergeSamplesBy(cells)
@@ -629,69 +635,6 @@ func (a *suiteAnalyses) WriteFigure14(w io.Writer) error {
 	rows = append(rows, []string{"paper", "full autoscaling cuts slack by >25pp for most jobs", "", "", ""})
 	return report.Table(w, []string{"strategy", "slack p25 (%)", "median (%)", "p75 (%)", "samples"}, rows)
 }
-
-func (a *suiteAnalyses) norm2019() float64 {
-	return float64(workload.ReferenceMachines) / float64(a.sc.Machines2019)
-}
-
-func (a *suiteAnalyses) norm2011() float64 {
-	return float64(workload.ReferenceMachines) / float64(a.sc.Machines2011)
-}
-
-// --- Suite render wrappers (the retained-trace path) ---
-
-// WriteReport emits every artifact to w.
-func (s *Suite) WriteReport(w io.Writer) error { return s.analyses().WriteReport(w) }
-
-// WriteTable1 emits the trace-comparison inventory.
-func (s *Suite) WriteTable1(w io.Writer) error { return s.analyses().WriteTable1(w) }
-
-// WriteFigure1 emits machine shape populations.
-func (s *Suite) WriteFigure1(w io.Writer) error { return s.analyses().WriteFigure1(w) }
-
-// WriteFigures2and4 emits the hourly usage and allocation series.
-func (s *Suite) WriteFigures2and4(w io.Writer) error { return s.analyses().WriteFigures2and4(w) }
-
-// WriteFigures3and5 emits the per-cell tier averages.
-func (s *Suite) WriteFigures3and5(w io.Writer) error { return s.analyses().WriteFigures3and5(w) }
-
-// WriteFigure6 emits machine-utilization quantiles at mid-trace.
-func (s *Suite) WriteFigure6(w io.Writer) error { return s.analyses().WriteFigure6(w) }
-
-// WriteFigure7 emits cell g's transition counts.
-func (s *Suite) WriteFigure7(w io.Writer) error { return s.analyses().WriteFigure7(w) }
-
-// WriteAllocSetStats emits §5.1's numbers.
-func (s *Suite) WriteAllocSetStats(w io.Writer) error { return s.analyses().WriteAllocSetStats(w) }
-
-// WriteTerminationStats emits §5.2's numbers.
-func (s *Suite) WriteTerminationStats(w io.Writer) error {
-	return s.analyses().WriteTerminationStats(w)
-}
-
-// WriteFigure8 emits job-submission-rate distributions.
-func (s *Suite) WriteFigure8(w io.Writer) error { return s.analyses().WriteFigure8(w) }
-
-// WriteFigure9 emits task-submission-rate distributions.
-func (s *Suite) WriteFigure9(w io.Writer) error { return s.analyses().WriteFigure9(w) }
-
-// WriteFigure10 emits scheduling-delay distributions.
-func (s *Suite) WriteFigure10(w io.Writer) error { return s.analyses().WriteFigure10(w) }
-
-// WriteFigure11 emits tasks-per-job quantiles by tier.
-func (s *Suite) WriteFigure11(w io.Writer) error { return s.analyses().WriteFigure11(w) }
-
-// WriteTable2 emits the resource-hour distribution statistics.
-func (s *Suite) WriteTable2(w io.Writer) error { return s.analyses().WriteTable2(w) }
-
-// WriteFigure12 emits the log-log CCDF of per-job resource-hours.
-func (s *Suite) WriteFigure12(w io.Writer) error { return s.analyses().WriteFigure12(w) }
-
-// WriteFigure13 emits the CPU/memory consumption correlation.
-func (s *Suite) WriteFigure13(w io.Writer) error { return s.analyses().WriteFigure13(w) }
-
-// WriteFigure14 emits the peak-slack summary by scaling strategy.
-func (s *Suite) WriteFigure14(w io.Writer) error { return s.analyses().WriteFigure14(w) }
 
 // --- helpers ---
 

@@ -2,26 +2,11 @@ package experiments
 
 import (
 	"fmt"
-	"io"
-	"path/filepath"
 
 	"repro/internal/analysis/streaming"
-	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/trace"
-	"repro/internal/workload"
 )
-
-// StreamingSuite is the NoMemTrace counterpart of Suite: instead of nine
-// retained traces it holds nine streaming reducers whose state was folded
-// online while the cells simulated. Its report is byte-identical to the
-// retained path's for the same scale and seed.
-type StreamingSuite struct {
-	Scale Scale
-	R2011 *streaming.CellReducer
-	R2019 []*streaming.CellReducer // cells a–h in order
-	Stats []core.CellResult        // CellResult.Trace is nil by design
-}
 
 // StreamingOptions configures a NoMemTrace suite run.
 type StreamingOptions struct {
@@ -51,65 +36,9 @@ func NewCellReducerFor(spec engine.Spec) *streaming.CellReducer {
 	})
 }
 
-// SuiteReducers builds the nine per-cell reducers for a scale, with
-// metadata matching what core.Run would stamp on a retained trace and the
-// Figure 6 snapshot pinned at mid-horizon.
-func SuiteReducers(sc Scale) (r2011 *streaming.CellReducer, r2019 []*streaming.CellReducer) {
-	specs := SuiteSpecs(sc)
-	reducers := make([]*streaming.CellReducer, len(specs))
-	for i, spec := range specs {
-		reducers[i] = NewCellReducerFor(spec)
-	}
-	return reducers[0], reducers[1:]
-}
-
 // ShardDirName names cell i's export shard (index 0 is the 2011 cell).
 func ShardDirName(i int, cell string) string {
 	return fmt.Sprintf("cell-%d-%s", i, cell)
-}
-
-// RunSuiteStreaming simulates the nine-cell suite with NoMemTrace: every
-// trace row streams through the per-cell reducer (and optional CSV export
-// shard) and is dropped, so memory stays bounded by per-job reducer state
-// instead of growing with the horizon.
-func RunSuiteStreaming(sc Scale, opts StreamingOptions) (*StreamingSuite, error) {
-	specs := SuiteSpecs(sc)
-	r2011, r2019 := SuiteReducers(sc)
-	reducers := append([]*streaming.CellReducer{r2011}, r2019...)
-
-	engine.AttachSinks(specs, func(i int) trace.Sink { return reducers[i] })
-	var exports []*trace.DirSink
-	for i := range specs {
-		specs[i].Options.NoMemTrace = true
-		if opts.ExportDir != "" {
-			shard := filepath.Join(opts.ExportDir, ShardDirName(i, specs[i].Profile.Name))
-			ds, err := trace.NewDirSink(shard, reducers[i].Meta())
-			if err != nil {
-				closeExports(exports)
-				return nil, err
-			}
-			exports = append(exports, ds)
-			// core.Run flushes the pipeline at end of simulation, which
-			// drains this buffer into the shard before Close below.
-			specs[i].Options.ExtraSinks = append(specs[i].Options.ExtraSinks,
-				trace.NewBufferedSink(ds, opts.ExportBatch))
-		}
-	}
-
-	s := &StreamingSuite{Scale: sc, R2011: r2011, R2019: r2019}
-	ri := engine.NewRunInstruments(sc.Metrics, sc.Timeline, len(specs))
-	ri.Apply(specs)
-	results := engine.Run(specs, ri.Wrap(sc.engineOptions(len(specs))))
-	for _, r := range results {
-		s.Stats = append(s.Stats, *r)
-	}
-	for _, ds := range exports {
-		if err := ds.Close(); err != nil {
-			closeExports(exports)
-			return nil, err
-		}
-	}
-	return s, nil
 }
 
 func closeExports(exports []*trace.DirSink) {
@@ -117,24 +46,3 @@ func closeExports(exports []*trace.DirSink) {
 		ds.Close()
 	}
 }
-
-// RateNormalization2019 converts per-cell 2019 rates to paper scale.
-func (s *StreamingSuite) RateNormalization2019() float64 {
-	return float64(workload.ReferenceMachines) / float64(s.Scale.Machines2019)
-}
-
-// RateNormalization2011 is the 2011 counterpart.
-func (s *StreamingSuite) RateNormalization2011() float64 {
-	return float64(workload.ReferenceMachines) / float64(s.Scale.Machines2011)
-}
-
-func (s *StreamingSuite) analyses() *suiteAnalyses {
-	a := &suiteAnalyses{sc: s.Scale, c2011: s.R2011}
-	for _, r := range s.R2019 {
-		a.c2019 = append(a.c2019, r)
-	}
-	return a
-}
-
-// WriteReport emits every artifact to w from reducer state alone.
-func (s *StreamingSuite) WriteReport(w io.Writer) error { return s.analyses().WriteReport(w) }

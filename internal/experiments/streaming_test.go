@@ -20,8 +20,9 @@ func streamScale() Scale {
 }
 
 // TestStreamingReportMatchesRetained is the tentpole acceptance gate: the
-// full nine-cell suite run with NoMemTrace must produce a report
-// byte-identical to the retained-trace post-hoc path on the same seed.
+// full nine-cell suite run with NoMemTrace, its reducers fed live, must
+// produce a report byte-identical to the retained suite's, whose reducers
+// are fed by Replay, on the same seed.
 func TestStreamingReportMatchesRetained(t *testing.T) {
 	sc := streamScale()
 	retained := tinySuiteAt(t, sc)

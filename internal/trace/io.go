@@ -270,16 +270,28 @@ func (s *DirSink) closeFiles() {
 	}
 }
 
+// MaxDuration is the longest horizon ReadDir accepts: one year, twelve
+// times the paper's month-long traces. Analyses size hourly buckets from
+// Meta.Duration, so an unchecked value from disk could demand an
+// arbitrarily large allocation.
+const MaxDuration = 365 * sim.Day
+
 // ReadDir loads a trace previously written by WriteDir. CPU histograms are
 // not round-tripped (the CSV schema, like the 2011 trace, omits them).
+// A meta.json whose Duration is negative or above MaxDuration is an error.
 func ReadDir(dir string) (*MemTrace, error) {
-	metaBytes, err := os.ReadFile(filepath.Join(dir, metaFile))
+	metaPath := filepath.Join(dir, metaFile)
+	metaBytes, err := os.ReadFile(metaPath)
 	if err != nil {
 		return nil, fmt.Errorf("trace: read meta: %w", err)
 	}
 	var meta Meta
 	if err := json.Unmarshal(metaBytes, &meta); err != nil {
 		return nil, fmt.Errorf("trace: parse meta: %w", err)
+	}
+	if meta.Duration < 0 || meta.Duration > MaxDuration {
+		return nil, fmt.Errorf("trace: %s: Duration %d outside [0, %d] (MaxDuration)",
+			metaPath, int64(meta.Duration), int64(MaxDuration))
 	}
 	t := NewMemTrace(meta)
 	if err := readCSVFile(filepath.Join(dir, collectionEventsFile), t.readCollectionEvent); err != nil {

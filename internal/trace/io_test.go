@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/sim"
 )
 
 func TestWriteReadRoundTrip(t *testing.T) {
@@ -43,6 +45,50 @@ func TestWriteReadRoundTrip(t *testing.T) {
 func TestReadDirMissing(t *testing.T) {
 	if _, err := ReadDir(filepath.Join(t.TempDir(), "nope")); err == nil {
 		t.Fatal("expected error for missing dir")
+	}
+}
+
+// TestReadDirDurationBounds: meta.json is external input, and analyses
+// size hourly buckets from its Duration, so ReadDir must reject a
+// negative or absurd horizon with an error naming the file instead of
+// handing it on.
+func TestReadDirDurationBounds(t *testing.T) {
+	for _, c := range []struct {
+		name     string
+		duration sim.Time
+		ok       bool
+	}{
+		{"zero", 0, true},
+		{"month", 31 * sim.Day, true},
+		{"max", MaxDuration, true},
+		{"negative", -sim.Hour, false},
+		{"above max", MaxDuration + 1, false},
+		{"huge", 9000000000000000000, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			tr := newTestTrace()
+			tr.Meta.Duration = c.duration
+			if err := WriteDir(tr, dir); err != nil {
+				t.Fatal(err)
+			}
+			got, err := ReadDir(dir)
+			if c.ok {
+				if err != nil {
+					t.Fatalf("ReadDir rejected Duration %d: %v", c.duration, err)
+				}
+				if got.Meta.Duration != c.duration {
+					t.Fatalf("Duration %d read back as %d", c.duration, got.Meta.Duration)
+				}
+				return
+			}
+			if err == nil {
+				t.Fatalf("ReadDir accepted Duration %d", c.duration)
+			}
+			if !strings.Contains(err.Error(), filepath.Join(dir, metaFile)) {
+				t.Fatalf("error %q does not name %s", err, metaFile)
+			}
+		})
 	}
 }
 
