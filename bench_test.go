@@ -175,21 +175,23 @@ func BenchmarkManyCellSuite(b *testing.B) {
 	var rows int64
 	peak := metrics.PeakHeapDuring(func() {
 		for i := 0; i < b.N; i++ {
-			specs := make([]engine.Spec, cells)
-			for c := range specs {
-				p := workload.Profile2019(names[c%len(names)], machines)
-				specs[c] = engine.NewSpec(c, p, core.Options{
-					Horizon:    2 * sim.Hour,
-					NoMemTrace: true,
-				}, 29)
-			}
 			reducers := make([]*streaming.CellReducer, cells)
-			engine.AttachSinks(specs, func(c int) trace.Sink {
-				reducers[c] = experiments.NewCellReducerFor(specs[c])
-				return reducers[c]
+			err := engine.Run(engine.Plan{
+				Cells: cells,
+				Spec: func(c int) engine.Spec {
+					p := workload.Profile2019(names[c%len(names)], machines)
+					spec := engine.NewSpec(c, p, core.Options{
+						Horizon:    2 * sim.Hour,
+						NoMemTrace: true,
+					}, 29)
+					reducers[c] = experiments.NewCellReducerFor(spec)
+					spec.Options.ExtraSinks = []trace.Sink{reducers[c]}
+					return spec
+				},
+				OnResult: func(_ int, res *core.CellResult) { rows += res.Rows.Total() },
 			})
-			for _, res := range engine.Run(specs, engine.Options{}) {
-				rows += res.Rows.Total()
+			if err != nil {
+				b.Fatal(err)
 			}
 		}
 	})
@@ -206,7 +208,7 @@ func BenchmarkManyCellSuite(b *testing.B) {
 
 // BenchmarkFleetRollup is the warehouse-scale federation smoke: a
 // 128-cell fleet — profiles sampled around the 2019 medians per cell —
-// streamed through engine.RunStream with one reducer per cell and the
+// streamed through one engine.Run plan with one reducer per cell and the
 // usage-noise fast path on, rolled up online into cross-cell t-digest
 // percentiles. Peak heap must stay under the CI streaming guard's
 // 1536 MB ceiling: released reducers and O(Parallelism) in-flight cells

@@ -37,13 +37,16 @@
 //     trace.UsageBatcher (see "Usage pipeline and sink batching" below).
 //   - internal/core — the single-cell façade: wires one cell's
 //     components and sink pipeline and runs it to the horizon.
-//   - internal/engine — multi-cell orchestration: runs N cell
-//     simulations concurrently on a bounded worker pool and streams
-//     results back in submission order. The engine owns the determinism
-//     contracts: per-cell seeds derive from the root seed via
-//     engine.DeriveSeed, per-cell collection-ID spaces are disjoint via
-//     engine.IDBase, and therefore the same root seed yields
-//     byte-identical traces at any parallelism.
+//   - internal/engine — multi-cell orchestration: engine.Run(Plan) is
+//     the one run function behind every runner. It builds each cell's spec
+//     on the worker about to simulate it, runs the cells concurrently on
+//     a bounded worker pool and delivers results in spec order. It owns
+//     the per-cell instruments and the progress lines, and it turns a
+//     cell panic into an engine.CellError naming the cell's index,
+//     profile and seed. It also owns the determinism contracts: per-cell
+//     seeds derive from the root seed via engine.DeriveSeed, per-cell
+//     collection-ID spaces are disjoint via engine.IDBase, and therefore
+//     the same root seed yields byte-identical traces at any parallelism.
 //   - internal/analysis, internal/analysis/streaming, internal/report,
 //     internal/experiments — the evaluation: experiments.RunSuite
 //     simulates the paper's nine cells (2011 plus 2019 a–h) through the
@@ -61,9 +64,8 @@
 //     cells profile-sampled around the 2019 medians, streamed through
 //     one engine pool with bounded memory and rolled up online into
 //     fleet-level cross-cell percentiles (internal/stats t-digests),
-//     reported by cmd/borgfleet. internal/progress supplies the live
-//     progress reporter shared by all three CLIs, and internal/cliflags
-//     the shared flag set (-seed, -parallel, -policy, -arrival,
+//     reported by cmd/borgfleet. internal/cliflags supplies the shared
+//     flag set (-seed, -parallel, -policy, -arrival,
 //     -progress, profiling, observability) they register and validate
 //     identically.
 //   - internal/metrics — the observability seam: a registry of typed
@@ -223,7 +225,7 @@
 // profiles are lognormal-sampled around the calibrated 2019 medians —
 // machine count, arrival rate, tier mix and diurnal phase all vary
 // per cell — and streams them through one engine worker pool via
-// engine.RunStream. Specs materialize only as workers pick them up;
+// engine.Run. Specs materialize only as workers pick them up;
 // every cell runs with NoMemTrace plus one streaming.CellReducer, and
 // each cell's scalars fold into the fleet rollup (one merging
 // stats.Digest per metric) the moment its in-order result delivers,
@@ -290,8 +292,8 @@
 // usage sampler's periodic tick, never the hot path) under its own
 // AllocsPerRun guard and benchmark gate.
 //
-// Multi-cell runs roll up deterministically: engine.RunInstruments
-// gives every cell a private registry (concurrent cells never share
+// Multi-cell runs roll up deterministically: engine.Run gives every
+// cell a private registry (concurrent cells never share
 // one) and merges them into the run-level registry in spec order on the
 // engine's serialized OnResult path — the same discipline the streaming
 // reducers use — so the rolled-up snapshot, t-digest quantiles

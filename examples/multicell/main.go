@@ -43,35 +43,40 @@ func main() {
 	horizon := 8 * sim.Hour
 
 	cells := []string{"a", "b", "h"} // the paper's three named extremes
-	specs := make([]engine.Spec, len(cells))
 	reducers := make([]*streaming.CellReducer, len(cells))
-	for i, cell := range cells {
-		specs[i] = engine.NewSpec(i, workload.Profile2019(cell, machines),
-			core.Options{Horizon: horizon, NoMemTrace: true}, rootSeed)
-		reducers[i] = streaming.NewCellReducer(streaming.Config{
-			Meta: trace.Meta{
-				Era: trace.Era2019, Cell: cell, Duration: horizon,
-				Machines: machines, Seed: specs[i].Options.Seed,
-			},
-			SnapshotAt: horizon / 2,
-		})
-	}
-	engine.AttachSinks(specs, func(i int) trace.Sink { return reducers[i] })
 
 	fmt.Printf("simulating cells a (prod-heavy), b (beb-heavy), h (mid-heavy), parallelism=%d, NoMemTrace...\n", *parallel)
 	start := time.Now()
 	var averages []analysis.TierAverages
-	// OnResult streams each cell's analysis in spec order while later
-	// cells may still be simulating; the reducer already holds the
-	// folded state, so this reads it without touching any trace.
-	engine.Run(specs, engine.Options{
-		Parallelism: *parallel,
+	err := engine.Run(engine.Plan{
+		Cells: len(cells), Parallelism: *parallel,
+		// Spec builds each cell on the worker about to simulate it, with
+		// its own reducer as the only sink.
+		Spec: func(i int) engine.Spec {
+			spec := engine.NewSpec(i, workload.Profile2019(cells[i], machines),
+				core.Options{Horizon: horizon, NoMemTrace: true}, rootSeed)
+			reducers[i] = streaming.NewCellReducer(streaming.Config{
+				Meta: trace.Meta{
+					Era: trace.Era2019, Cell: cells[i], Duration: horizon,
+					Machines: machines, Seed: spec.Options.Seed,
+				},
+				SnapshotAt: horizon / 2,
+			})
+			spec.Options.ExtraSinks = []trace.Sink{reducers[i]}
+			return spec
+		},
+		// OnResult streams each cell's analysis in spec order while later
+		// cells may still be simulating; the reducer already holds the
+		// folded state, so this reads it without touching any trace.
 		OnResult: func(i int, res *core.CellResult) {
 			averages = append(averages, reducers[i].AverageUsageByTier(3*sim.Hour))
 			fmt.Printf("  cell %s done: %d rows folded, reducer state %s\n",
 				cells[i], res.Rows.Total(), reducers[i].Counts())
 		},
 	})
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("simulated %d cells in %v\n", len(cells), time.Since(start).Round(time.Millisecond))
 
 	if err := report.TierAveragesTable(os.Stdout,

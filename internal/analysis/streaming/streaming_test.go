@@ -72,17 +72,21 @@ func suiteFixtures(t *testing.T) []*fixture {
 		for _, cell := range workload.Cells2019() {
 			profiles = append(profiles, workload.Profile2019(cell, 50))
 		}
-		specs := make([]engine.Spec, len(profiles))
-		for i, p := range profiles {
-			specs[i] = engine.NewSpec(i, p, core.Options{Horizon: horizon}, root)
-		}
-		reducers := make([]*CellReducer, len(specs))
-		engine.AttachSinks(specs, func(i int) trace.Sink {
-			reducers[i] = newFixtureReducer(specs[i].Profile, horizon, specs[i].Options.Seed)
-			return reducers[i]
+		reducers := make([]*CellReducer, len(profiles))
+		err := engine.Run(engine.Plan{
+			Cells: len(profiles),
+			Spec: func(i int) engine.Spec {
+				spec := engine.NewSpec(i, profiles[i], core.Options{Horizon: horizon}, root)
+				reducers[i] = newFixtureReducer(spec.Profile, horizon, spec.Options.Seed)
+				spec.Options.ExtraSinks = []trace.Sink{reducers[i]}
+				return spec
+			},
+			OnResult: func(i int, res *core.CellResult) {
+				suiteCells = append(suiteCells, &fixture{tr: res.Trace, red: reducers[i], at: horizon / 2})
+			},
 		})
-		for i, res := range engine.Run(specs, engine.Options{}) {
-			suiteCells = append(suiteCells, &fixture{tr: res.Trace, red: reducers[i], at: horizon / 2})
+		if err != nil {
+			t.Fatal(err)
 		}
 	})
 	return suiteCells

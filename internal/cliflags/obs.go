@@ -16,7 +16,7 @@ import (
 // Knobs, wrap the run in MeasureRun, and defer Close.
 type Obs struct {
 	// Reg is the run-level registry every cell's instruments roll up
-	// into (see engine.RunInstruments).
+	// into (see engine.Plan).
 	Reg *metrics.Registry
 	// Timeline collects wall-clock spans; nil unless -http or -timeline
 	// asked for one.

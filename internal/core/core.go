@@ -63,9 +63,9 @@ type RunKnobs struct {
 	// sim_*, usage_*, trace_* series; see internal/metrics). Instruments
 	// only observe: they consume no randomness and never alter trace
 	// bytes, so a run with Metrics set is byte-identical to one without.
-	// Multi-cell runners give each cell a private registry and merge them
-	// in spec order (engine.RunInstruments); this field must therefore be
-	// nilled per cell by fleet-level configs, like Progress.
+	// In a multi-cell run engine.Run replaces Progress, Metrics and
+	// Timeline per cell: each cell gets a private registry, merged into
+	// the run's in spec order.
 	Metrics *metrics.Registry
 	// Timeline, when non-nil, records wall-clock spans (warmup/run/flush
 	// per cell, reduce at the runner level) exportable as Chrome

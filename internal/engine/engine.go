@@ -1,9 +1,29 @@
 // Package engine orchestrates multi-cell simulation runs: it executes N
 // independent cell simulations (core.Run) concurrently on a bounded worker
-// pool and streams their results back in submission order. The paper
-// analyzes eight 2019 cells plus the 2011 cell; the engine is the layer
-// that makes that suite — and larger parameter sweeps — scale with the
+// pool and delivers their results in spec order. The paper analyzes eight
+// 2019 cells plus the 2011 cell; the engine is the layer that makes that
+// suite — and larger parameter sweeps and fleets — scale with the
 // hardware instead of running one cell at a time.
+//
+// # One run function
+//
+// Run(Plan) is the engine's only run function. A Plan names the cell count, builds
+// each cell's Spec lazily on the worker about to simulate it, and
+// receives results through OnResult, serialized and in spec order; the
+// engine retains no result itself, so a caller that streams results
+// holds O(Parallelism) cells of state. The engine also owns everything
+// observe-only about a run: per-cell metrics registries merged in spec
+// order, the timeline, the run_cells_* counters and the progress lines.
+//
+// # Cell failures
+//
+// A panic while building or simulating cell i is recovered on the
+// worker and becomes a *CellError naming the index, profile and seed.
+// Run then dispatches no further cell, lets the cells in flight finish,
+// delivers OnResult for exactly the cells before the lowest failing
+// index, and returns that index's error. Cells are dispatched in index
+// order, so every cell below a failing one has started and the returned
+// error is the same at any Parallelism.
 //
 // # Determinism contract
 //
@@ -24,10 +44,15 @@
 package engine
 
 import (
+	"fmt"
+	"io"
 	"runtime"
 	"sync"
+	"sync/atomic"
+	"time"
 
 	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -37,24 +62,6 @@ import (
 type Spec struct {
 	Profile *workload.CellProfile
 	Options core.Options
-}
-
-// Options configures the run.
-type Options struct {
-	// Parallelism bounds the worker pool; <= 0 means GOMAXPROCS. It has
-	// no effect on simulation output, only on wall-clock time.
-	Parallelism int
-	// OnResult, when set, is invoked once per cell in spec order (index
-	// 0, 1, 2, ...) as results become available, enabling streaming
-	// consumption ahead of Run returning. Calls are serialized; a slow
-	// callback backpressures result delivery but not simulation.
-	OnResult func(index int, res *core.CellResult)
-	// OnStart, when set, is invoked as a worker begins simulating a cell —
-	// the hook progress reporters count in-flight cells with. Unlike
-	// OnResult it is NOT serialized or ordered: calls arrive concurrently
-	// from worker goroutines, so the callback must be safe for concurrent
-	// use and should return quickly.
-	OnStart func(index int)
 }
 
 // DeriveSeed maps a run's root seed and a cell index to the cell's
@@ -106,125 +113,231 @@ func NewSpec(i int, p *workload.CellProfile, base core.Options, root uint64) Spe
 	return Spec{Profile: p, Options: base}
 }
 
-// AttachSinks appends the sink built by make(i) to each spec's
-// ExtraSinks, in place. It is the engine's idiom for per-cell sink
-// pipelines — one streaming reducer or export shard per cell, each driven
-// only by that cell's goroutine, so none of them needs a SyncSink. A nil
-// sink from make leaves that spec unchanged.
-func AttachSinks(specs []Spec, make func(i int) trace.Sink) {
-	for i := range specs {
-		if s := make(i); s != nil {
-			specs[i].Options.ExtraSinks = append(specs[i].Options.ExtraSinks, s)
-		}
+// Plan is one multi-cell run: Cells simulations, each built by Spec and
+// delivered to OnResult in spec order.
+type Plan struct {
+	// Label prefixes the progress lines ("suite", "sweep", "fleet").
+	Label string
+	// Cells is the number of cells; indices run over [0, Cells).
+	Cells int
+	// Parallelism bounds the worker pool; <= 0 means GOMAXPROCS. It has
+	// no effect on simulation output, only on wall-clock time.
+	Parallelism int
+
+	// Progress, when non-nil, receives progress lines of the form
+	// "<label>: d/n done, k in flight, <t> elapsed, ETA <t>": the first
+	// when the first cell starts, then at most one a second, and always
+	// the last. Workers write start lines, so the writer must be safe
+	// for concurrent use.
+	Progress io.Writer
+	// Metrics, when non-nil, receives the run's instrument rollup. Each
+	// cell simulates against a private registry, merged here in spec
+	// order, so the rollup is byte-identical at any Parallelism. It also
+	// carries the live run_cells_total gauge and the
+	// run_cells_started_total and run_cells_done_total counters.
+	Metrics *metrics.Registry
+	// Timeline, when non-nil, collects each cell's spans under TID = the
+	// cell index: the cell's own spans from core.Run, a "cell" span from
+	// its start to its delivery and a "reduce" span around OnResult.
+	Timeline *metrics.Timeline
+
+	// Spec builds cell i. The worker about to simulate cell i calls it
+	// exactly once, concurrently with calls for other indices. The engine
+	// replaces the spec's Progress, Metrics, Timeline and TimelineID with
+	// the per-cell instruments above.
+	Spec func(i int) Spec
+	// OnResult, when set, receives every cell's result in spec order
+	// (0, 1, 2, ...) on the goroutine that called Run, as results become
+	// available. A caller that needs results keeps them here.
+	OnResult func(i int, res *core.CellResult)
+}
+
+// CellError reports a cell whose Spec or simulation panicked.
+type CellError struct {
+	Index   int
+	Profile string // the cell's profile name; empty if Spec panicked
+	Seed    uint64
+	Value   any // the recovered panic value
+}
+
+func (e *CellError) Error() string {
+	return fmt.Sprintf("engine: cell %d (profile %q, seed %d) panicked: %v",
+		e.Index, e.Profile, e.Seed, e.Value)
+}
+
+// outcome is one finished cell, handed from its worker to the
+// delivering goroutine, or a worker's exit marker (i < 0).
+type outcome struct {
+	i     int
+	start time.Time
+	res   *core.CellResult
+	reg   *metrics.Registry // the cell's private registry; nil without Metrics
+	err   *CellError
+}
+
+// run is the state of one Run call.
+type run struct {
+	Plan
+	started, done *metrics.Counter // nil without Metrics
+	next          atomic.Int64     // the next index to dispatch
+	stop          atomic.Bool      // no further dispatch: a cell failed or OnResult panicked
+	// out carries finished cells, then one exit marker per worker, to
+	// the delivering goroutine. One slot per worker: a worker blocks
+	// only once every worker has sent something not yet taken.
+	out chan outcome
+
+	mu              sync.Mutex // guards the progress state below
+	nStarted, nDone int
+	begin, printed  time.Time
+}
+
+// Run simulates every cell of p and returns nil, or the *CellError of
+// the lowest failing index (see the package doc for the failure rules).
+func Run(p Plan) error {
+	if p.Cells <= 0 {
+		return nil
 	}
-}
-
-// Run simulates every spec and returns results indexed like specs. With
-// Parallelism > 1 the cells run concurrently; results (and OnResult
-// callbacks) are still delivered in spec order.
-func Run(specs []Spec, opts Options) []*core.CellResult {
-	return run(len(specs), func(i int) Spec { return specs[i] }, opts, true)
-}
-
-// RunStream is Run for fleets too large to materialize: specs are built
-// lazily by spec(i) as workers pick up cell indices, and results are
-// released as soon as OnResult returns instead of being retained, so an
-// O(100)-cell run holds O(Parallelism) cells of state — not O(n) — as
-// long as the specs use NoMemTrace with streaming sinks. Everything else
-// matches Run: in-order OnResult delivery, concurrent OnStart, and
-// byte-identical output at any Parallelism. spec must be safe to call
-// concurrently for distinct indices (each index is requested exactly
-// once).
-func RunStream(n int, spec func(i int) Spec, opts Options) {
-	run(n, spec, opts, false)
-}
-
-// run is the shared pool: simulate cell indices [0, n) built by spec,
-// delivering results in index order. keep retains results for Run's
-// return value; RunStream drops each result after its callback so the
-// undelivered buffer is the only retained state.
-func run(n int, spec func(i int) Spec, opts Options, keep bool) []*core.CellResult {
-	results := make([]*core.CellResult, n)
-	if n == 0 {
-		return results
-	}
-	par := opts.Parallelism
+	par := p.Parallelism
 	if par <= 0 {
 		par = runtime.GOMAXPROCS(0)
 	}
-	if par > n {
-		par = n
+	par = min(par, p.Cells)
+	r := &run{Plan: p, begin: time.Now()}
+	if p.Metrics != nil {
+		p.Metrics.Gauge("run_cells_total").Add(float64(p.Cells))
+		r.started = p.Metrics.Counter("run_cells_started_total")
+		r.done = p.Metrics.Counter("run_cells_done_total")
 	}
 
-	if par == 1 {
-		for i := 0; i < n; i++ {
-			if opts.OnStart != nil {
-				opts.OnStart(i)
-			}
-			s := spec(i)
-			res := core.Run(s.Profile, s.Options)
-			if keep {
-				results[i] = res
-			}
-			if opts.OnResult != nil {
-				opts.OnResult(i, res)
-			}
-		}
-		return results
-	}
-
-	var (
-		mu         sync.Mutex
-		next       int  // first index not yet delivered to OnResult
-		delivering bool // a worker is draining callbacks outside the lock
-	)
-	// deliver records a finished cell and drains in-order OnResult
-	// callbacks. Callbacks run outside the mutex so a slow consumer
-	// stalls only the one worker currently delivering, never the pool:
-	// other workers store their result and go back to simulating.
-	deliver := func(i int, res *core.CellResult) {
-		mu.Lock()
-		results[i] = res
-		if delivering {
-			mu.Unlock()
-			return
-		}
-		delivering = true
-		for next < n && results[next] != nil {
-			idx, r := next, results[next]
-			if !keep {
-				results[idx] = nil
-			}
-			next++
-			mu.Unlock()
-			if opts.OnResult != nil {
-				opts.OnResult(idx, r)
-			}
-			mu.Lock()
-		}
-		delivering = false
-		mu.Unlock()
-	}
-
-	work := make(chan int)
-	var wg sync.WaitGroup
+	var failed *CellError
+	waiting := make([]*outcome, p.Cells) // finished, not yet delivered
+	delivered := 0
+	r.out = make(chan outcome, par)
 	for w := 0; w < par; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				if opts.OnStart != nil {
-					opts.OnStart(i)
-				}
-				s := spec(i)
-				deliver(i, core.Run(s.Profile, s.Options))
+		go r.work()
+	}
+	live := par
+	// On every exit, a panicking OnResult included, stop dispatching and
+	// wait for every worker's exit marker, so no worker outlives Run.
+	defer func() {
+		r.stop.Store(true)
+		for live > 0 {
+			if o := <-r.out; o.i < 0 {
+				live--
 			}
-		}()
+		}
+	}()
+	for live > 0 {
+		switch o := <-r.out; {
+		case o.i < 0:
+			live--
+		case o.err != nil:
+			if failed == nil || o.err.Index < failed.Index {
+				failed = o.err
+			}
+		default:
+			// A failed cell's slot stays empty, so delivery stops below
+			// the lowest failing index.
+			waiting[o.i] = &o
+			for delivered < p.Cells && waiting[delivered] != nil {
+				r.deliver(waiting[delivered])
+				waiting[delivered] = nil
+				delivered++
+			}
+		}
 	}
-	for i := 0; i < n; i++ {
-		work <- i
+	if failed != nil {
+		return failed
 	}
-	close(work)
-	wg.Wait()
-	return results
+	return nil
+}
+
+// work simulates cells in index order until none is left or dispatch
+// stops, then sends its exit marker.
+func (r *run) work() {
+	for !r.stop.Load() {
+		i := int(r.next.Add(1) - 1)
+		if i >= r.Cells {
+			break
+		}
+		o := r.simulate(i)
+		if o.err != nil {
+			r.stop.Store(true)
+		}
+		r.out <- o
+	}
+	r.out <- outcome{i: -1}
+}
+
+// simulate builds and simulates cell i with its instruments applied,
+// turning a panic into the outcome's CellError.
+func (r *run) simulate(i int) (o outcome) {
+	o.i, o.start = i, time.Now()
+	if r.started != nil {
+		r.started.Inc()
+	}
+	r.progress(1, 0)
+	var spec Spec
+	defer func() {
+		if v := recover(); v != nil {
+			o.res, o.reg = nil, nil
+			o.err = &CellError{Index: i, Seed: spec.Options.Seed, Value: v}
+			if spec.Profile != nil {
+				o.err.Profile = spec.Profile.Name
+			}
+		}
+	}()
+	spec = r.Spec(i)
+	opts := spec.Options
+	opts.Progress, opts.Metrics = nil, nil
+	if r.Metrics != nil {
+		o.reg = metrics.NewRegistry()
+		opts.Metrics = o.reg
+	}
+	opts.Timeline, opts.TimelineID = r.Timeline, i
+	o.res = core.Run(spec.Profile, opts)
+	return o
+}
+
+// deliver records cell o's span, merges its registry into the run's,
+// and hands its result to OnResult. Calls are serialized and in spec
+// order.
+func (r *run) deliver(o *outcome) {
+	r.Timeline.Record("cell", "cell", o.i, o.start, time.Since(o.start))
+	if r.Metrics != nil {
+		r.Metrics.Merge(o.reg)
+		r.done.Inc()
+	}
+	if r.OnResult != nil {
+		end := r.Timeline.Span("reduce", "reduce", o.i)
+		r.OnResult(o.i, o.res)
+		end()
+	}
+	r.progress(0, 1)
+}
+
+// progress counts started and done cells and prints a progress line,
+// at most one a second unless it reports the last cell done.
+func (r *run) progress(started, done int) {
+	if r.Progress == nil {
+		return
+	}
+	r.mu.Lock()
+	r.nStarted += started
+	r.nDone += done
+	now := time.Now()
+	if r.nDone < r.Cells && now.Sub(r.printed) < time.Second {
+		r.mu.Unlock()
+		return
+	}
+	r.printed = now
+	elapsed := now.Sub(r.begin)
+	line := fmt.Sprintf("%s: %d/%d done, %d in flight, %s elapsed",
+		r.Label, r.nDone, r.Cells, r.nStarted-r.nDone, elapsed.Round(100*time.Millisecond))
+	if r.nDone > 0 && r.nDone < r.Cells {
+		eta := time.Duration(float64(elapsed) / float64(r.nDone) * float64(r.Cells-r.nDone))
+		line += ", ETA " + eta.Round(100*time.Millisecond).String()
+	}
+	r.mu.Unlock()
+	fmt.Fprintln(r.Progress, line)
 }

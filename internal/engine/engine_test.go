@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"errors"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -22,6 +24,19 @@ func testSpecs(root uint64) []Spec {
 	}
 }
 
+// runSpecs runs specs as one plan and returns their results in spec
+// order.
+func runSpecs(t *testing.T, specs []Spec, parallelism int) []*core.CellResult {
+	t.Helper()
+	results := make([]*core.CellResult, len(specs))
+	p := specPlan(specs, parallelism)
+	p.OnResult = func(i int, res *core.CellResult) { results[i] = res }
+	if err := Run(p); err != nil {
+		t.Fatal(err)
+	}
+	return results
+}
+
 // sameTrace compares every row of two traces.
 func sameTrace(t *testing.T, cell string, a, b *trace.MemTrace) {
 	t.Helper()
@@ -40,9 +55,9 @@ func sameTrace(t *testing.T, cell string, a, b *trace.MemTrace) {
 }
 
 func TestParallelismDoesNotChangeTraces(t *testing.T) {
-	serial := Run(testSpecs(7), Options{Parallelism: 1})
+	serial := runSpecs(t, testSpecs(7), 1)
 	for _, par := range []int{2, 8} {
-		parallel := Run(testSpecs(7), Options{Parallelism: par})
+		parallel := runSpecs(t, testSpecs(7), par)
 		if len(parallel) != len(serial) {
 			t.Fatalf("result count %d", len(parallel))
 		}
@@ -57,15 +72,16 @@ func TestParallelismDoesNotChangeTraces(t *testing.T) {
 
 func TestOnResultStreamsInSpecOrder(t *testing.T) {
 	var order []int
-	Run(testSpecs(3), Options{
-		Parallelism: 8,
-		OnResult: func(i int, res *core.CellResult) {
-			order = append(order, i)
-			if res == nil || res.Trace == nil {
-				t.Errorf("empty result at %d", i)
-			}
-		},
-	})
+	p := specPlan(testSpecs(3), 8)
+	p.OnResult = func(i int, res *core.CellResult) {
+		order = append(order, i)
+		if res == nil || res.Trace == nil {
+			t.Errorf("empty result at %d", i)
+		}
+	}
+	if err := Run(p); err != nil {
+		t.Fatal(err)
+	}
 	if len(order) != 3 {
 		t.Fatalf("callbacks: %v", order)
 	}
@@ -83,7 +99,7 @@ func TestNoMemTraceStreamsWithoutRetention(t *testing.T) {
 		NoMemTrace: true,
 		ExtraSinks: []trace.Sink{counter},
 	}, 5)}
-	res := Run(specs, Options{Parallelism: 1})[0]
+	res := runSpecs(t, specs, 1)[0]
 	if res.Trace != nil {
 		t.Fatal("trace retained despite NoMemTrace")
 	}
@@ -120,38 +136,45 @@ func TestIDBaseDisjoint(t *testing.T) {
 }
 
 func TestEmptyRun(t *testing.T) {
-	if res := Run(nil, Options{}); len(res) != 0 {
-		t.Fatalf("got %v", res)
+	err := Run(Plan{Spec: func(int) Spec {
+		t.Error("Spec called for an empty plan")
+		return Spec{}
+	}})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 
-// TestAttachSinksPerCell pins the per-cell sink idiom: AttachSinks gives
-// every spec its own sink (no SyncSink needed), nil sinks are skipped,
-// and counts per cell match the engine's row accounting at full
-// parallelism — the configuration the race detector exercises in CI.
-func TestAttachSinksPerCell(t *testing.T) {
+// TestSpecSinksPerCell pins the per-cell sink idiom: the Spec callback
+// gives every cell its own sink (no SyncSink needed), and counts per cell
+// match the engine's row accounting at full parallelism — the
+// configuration the race detector exercises in CI.
+func TestSpecSinksPerCell(t *testing.T) {
 	specs := testSpecs(9)
 	counters := make([]*trace.CountingSink, len(specs))
-	AttachSinks(specs, func(i int) trace.Sink {
-		if i == 1 {
-			return nil // spec 1 keeps its pipeline unchanged
-		}
-		counters[i] = &trace.CountingSink{}
-		return counters[i]
-	})
-	for i := range specs {
-		specs[i].Options.NoMemTrace = true
-	}
-	results := Run(specs, Options{Parallelism: len(specs)})
-	for i, res := range results {
-		if i == 1 {
-			if counters[i] != nil {
-				t.Fatal("nil sink was attached")
+	rows := make([]trace.RowCounts, len(specs))
+	err := Run(Plan{
+		Cells: len(specs), Parallelism: len(specs),
+		Spec: func(i int) Spec {
+			s := specs[i]
+			s.Options.NoMemTrace = true
+			if i != 1 { // spec 1 keeps its pipeline unchanged
+				counters[i] = &trace.CountingSink{}
+				s.Options.ExtraSinks = append(s.Options.ExtraSinks, counters[i])
 			}
+			return s
+		},
+		OnResult: func(i int, res *core.CellResult) { rows[i] = res.Rows },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range specs {
+		if i == 1 {
 			continue
 		}
-		if counters[i].Counts() != res.Rows {
-			t.Fatalf("cell %d: sink saw %+v, engine counted %+v", i, counters[i].Counts(), res.Rows)
+		if counters[i].Counts() != rows[i] {
+			t.Fatalf("cell %d: sink saw %+v, engine counted %+v", i, counters[i].Counts(), rows[i])
 		}
 	}
 }
@@ -177,23 +200,21 @@ func TestDeriveGridSeed(t *testing.T) {
 }
 
 // TestSlowOnResultStallsOnlyDeliveringWorker pins the delivery
-// invariant behind the drain loop: while one worker is stuck inside a
-// slow OnResult callback, the rest of the pool keeps simulating. The
-// callback for cell 0 refuses to return until every cell has reported
-// OnStart — which can only happen if the non-delivering worker kept
-// draining the queue.
+// invariant: while the delivering goroutine is stuck inside a slow
+// OnResult callback, the pool keeps simulating. The callback for cell 0
+// refuses to return until every cell's Spec has been called — which can
+// only happen if the workers kept draining the queue.
 func TestSlowOnResultStallsOnlyDeliveringWorker(t *testing.T) {
 	const n = 4
 	started := make(chan int, n)
 	base := core.Options{Horizon: sim.Hour, NoMemTrace: true}
-	specs := make([]Spec, n)
-	for i := range specs {
-		specs[i] = NewSpec(i, workload.Profile2019("a", 20), base, 5)
-	}
 	var order []int
-	Run(specs, Options{
-		Parallelism: 2,
-		OnStart:     func(i int) { started <- i },
+	err := Run(Plan{
+		Cells: n, Parallelism: 2,
+		Spec: func(i int) Spec {
+			started <- i
+			return NewSpec(i, workload.Profile2019("a", 20), base, 5)
+		},
 		OnResult: func(i int, res *core.CellResult) {
 			order = append(order, i)
 			if i != 0 {
@@ -211,6 +232,9 @@ func TestSlowOnResultStallsOnlyDeliveringWorker(t *testing.T) {
 			}
 		},
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(order) != n {
 		t.Fatalf("delivered %d results, want %d", len(order), n)
 	}
@@ -221,33 +245,35 @@ func TestSlowOnResultStallsOnlyDeliveringWorker(t *testing.T) {
 	}
 }
 
-// TestRunStreamMatchesRun checks the streaming pool against the
-// materialized one: same per-cell row counts in the same order at
-// parallelism 1 and 8, with every cell's OnStart firing exactly once.
-func TestRunStreamMatchesRun(t *testing.T) {
+// TestRunSameResultsAtParallelism1And8 runs one lazily built plan at
+// parallelism 1 and 8: the same per-cell row counts in the same order,
+// no retained MemTrace under NoMemTrace, and every cell's Spec called
+// exactly once.
+func TestRunSameResultsAtParallelism1And8(t *testing.T) {
 	const n = 6
 	base := core.Options{Horizon: sim.Hour, NoMemTrace: true}
-	mk := func(i int) Spec { return NewSpec(i, workload.Profile2019("a", 20), base, 11) }
-	specs := make([]Spec, n)
-	for i := range specs {
-		specs[i] = mk(i)
-	}
-	want := Run(specs, Options{Parallelism: 1})
+	var want []trace.RowCounts
 	for _, par := range []int{1, 8} {
-		starts := make([]int32, n)
+		calls := make([]int32, n)
 		var order []int
 		var rows []trace.RowCounts
-		RunStream(n, mk, Options{
-			Parallelism: par,
-			OnStart:     func(i int) { atomic.AddInt32(&starts[i], 1) },
+		err := Run(Plan{
+			Cells: n, Parallelism: par,
+			Spec: func(i int) Spec {
+				atomic.AddInt32(&calls[i], 1)
+				return NewSpec(i, workload.Profile2019("a", 20), base, 11)
+			},
 			OnResult: func(i int, res *core.CellResult) {
 				order = append(order, i)
 				rows = append(rows, res.Rows)
 				if res.Trace != nil {
-					t.Errorf("par %d: RunStream retained a MemTrace for cell %d", par, i)
+					t.Errorf("par %d: MemTrace retained for cell %d", par, i)
 				}
 			},
 		})
+		if err != nil {
+			t.Fatal(err)
+		}
 		if len(order) != n {
 			t.Fatalf("par %d: delivered %d results, want %d", par, len(order), n)
 		}
@@ -255,14 +281,72 @@ func TestRunStreamMatchesRun(t *testing.T) {
 			if order[i] != i {
 				t.Fatalf("par %d: out-of-order delivery %v", par, order)
 			}
-			if rows[i] != want[i].Rows {
-				t.Fatalf("par %d: cell %d rows %+v, want %+v", par, i, rows[i], want[i].Rows)
-			}
-			if starts[i] != 1 {
-				t.Fatalf("par %d: cell %d started %d times", par, i, starts[i])
+			if calls[i] != 1 {
+				t.Fatalf("par %d: cell %d Spec called %d times", par, i, calls[i])
 			}
 		}
+		if want == nil {
+			want = rows
+		} else if !reflect.DeepEqual(rows, want) {
+			t.Fatalf("par %d: rows %+v, want %+v", par, rows, want)
+		}
 	}
+}
+
+// TestRunCellPanic forces one of core.Run's deliberate panics (an
+// unknown placement policy) in cells 2 and 4 of six. At any parallelism
+// Run returns the CellError of cell 2 and delivers exactly cells 0 and 1.
+func TestRunCellPanic(t *testing.T) {
+	base := core.Options{Horizon: sim.Hour, NoMemTrace: true}
+	specs := make([]Spec, 6)
+	for i, cell := range []string{"a", "b", "c", "d", "e", "f"} {
+		specs[i] = NewSpec(i, workload.Profile2019(cell, 20), base, 13)
+	}
+	specs[2].Options.Policy = "no-such-policy"
+	specs[4].Options.Policy = "no-such-policy"
+	for _, par := range []int{1, 2, 8} {
+		var delivered []int
+		var built atomic.Int32
+		err := Run(Plan{
+			Cells: len(specs), Parallelism: par,
+			Spec: func(i int) Spec {
+				built.Add(1)
+				return specs[i]
+			},
+			OnResult: func(i int, _ *core.CellResult) { delivered = append(delivered, i) },
+		})
+		var ce *CellError
+		if !errors.As(err, &ce) {
+			t.Fatalf("par %d: got error %v, want a *CellError", par, err)
+		}
+		if ce.Index != 2 || ce.Profile != "c" || ce.Seed != specs[2].Options.Seed {
+			t.Fatalf("par %d: CellError names cell %d (%q, seed %d), want cell 2 (%q, seed %d)",
+				par, ce.Index, ce.Profile, ce.Seed, "c", specs[2].Options.Seed)
+		}
+		if !strings.Contains(ce.Error(), "no-such-policy") {
+			t.Fatalf("par %d: CellError lacks the panic value: %v", par, ce)
+		}
+		if !reflect.DeepEqual(delivered, []int{0, 1}) {
+			t.Fatalf("par %d: OnResult saw cells %v, want [0 1]", par, delivered)
+		}
+		if par == 1 && built.Load() != 3 {
+			t.Fatalf("par 1: %d cells built, want 3 (no dispatch after the failure)", built.Load())
+		}
+	}
+}
+
+// TestOnResultPanicReachesCaller checks a panic in OnResult surfaces on
+// Run's own goroutine, where the caller can recover it.
+func TestOnResultPanicReachesCaller(t *testing.T) {
+	defer func() {
+		if v := recover(); v != "boom" {
+			t.Fatalf("recovered %v, want boom", v)
+		}
+	}()
+	p := specPlan(testSpecs(5), 2)
+	p.OnResult = func(int, *core.CellResult) { panic("boom") }
+	Run(p)
+	t.Fatal("Run returned despite the OnResult panic")
 }
 
 // TestDeriveSeedFleetScaleDistinct extends the seed-contract coverage to

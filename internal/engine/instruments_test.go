@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"io"
 	"net"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -11,16 +13,25 @@ import (
 	"repro/internal/metrics"
 )
 
+// specPlan is a plan over the given specs.
+func specPlan(specs []Spec, parallelism int) Plan {
+	return Plan{
+		Cells: len(specs), Parallelism: parallelism,
+		Spec: func(i int) Spec { return specs[i] },
+	}
+}
+
 // rollup runs the three-cell test suite instrumented at the given
 // parallelism and returns the run registry's Prometheus rendering,
 // minus wall-clock series.
 func rollup(t *testing.T, parallelism int) string {
 	t.Helper()
 	reg := metrics.NewRegistry()
-	specs := testSpecs(7)
-	ri := NewRunInstruments(reg, nil, len(specs))
-	ri.Apply(specs)
-	Run(specs, ri.Wrap(Options{Parallelism: parallelism}))
+	p := specPlan(testSpecs(7), parallelism)
+	p.Metrics = reg
+	if err := Run(p); err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
 	if err := reg.Snapshot().WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
@@ -63,40 +74,106 @@ func TestRollupCarriesInstrumentSeries(t *testing.T) {
 	}
 }
 
-func TestRunInstrumentsNilIsNoOp(t *testing.T) {
-	var ri *RunInstruments
-	if got := NewRunInstruments(nil, nil, 3); got != nil {
-		t.Fatal("NewRunInstruments(nil, nil) should return nil")
-	}
-	specs := testSpecs(7)
-	ri.Apply(specs)
-	o := ri.Cell(1, specs[1].Options)
-	if o.Metrics != nil || o.Timeline != nil {
-		t.Fatal("nil instruments attached state")
-	}
-	opts := ri.Wrap(Options{Parallelism: 2})
-	if opts.OnStart != nil || opts.OnResult != nil {
-		t.Fatal("nil Wrap installed hooks")
+// TestCellsGetOnlyPlanInstruments checks the engine owns the
+// observe-only knobs: instruments a spec carries itself never reach its
+// cell, with or without plan-level instruments.
+func TestCellsGetOnlyPlanInstruments(t *testing.T) {
+	for _, planned := range []bool{false, true} {
+		stray := metrics.NewRegistry()
+		var strayOut bytes.Buffer
+		specs := testSpecs(7)
+		for i := range specs {
+			specs[i].Options.Metrics = stray
+			specs[i].Options.Progress = &strayOut
+			specs[i].Options.Timeline = metrics.NewTimeline()
+		}
+		p := specPlan(specs, 2)
+		if planned {
+			p.Metrics = metrics.NewRegistry()
+		}
+		if err := Run(p); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := stray.Snapshot().WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if buf.Len() != 0 || strayOut.Len() != 0 {
+			t.Fatalf("planned=%v: a cell wrote to its spec's own instruments:\n%s%s", planned, buf.String(), strayOut.String())
+		}
+		for i := range specs {
+			if specs[i].Options.Timeline.Len() != 0 {
+				t.Fatalf("planned=%v: cell %d recorded into its spec's own timeline", planned, i)
+			}
+		}
 	}
 }
 
 func TestTimelineRecordsCellSpans(t *testing.T) {
 	tl := metrics.NewTimeline()
-	specs := testSpecs(7)
-	ri := NewRunInstruments(nil, tl, len(specs))
-	ri.Apply(specs)
 	reduced := 0
-	Run(specs, ri.Wrap(Options{
-		Parallelism: 2,
-		OnResult:    func(int, *core.CellResult) { reduced++ },
-	}))
+	p := specPlan(testSpecs(7), 2)
+	p.Timeline = tl
+	p.OnResult = func(int, *core.CellResult) { reduced++ }
+	if err := Run(p); err != nil {
+		t.Fatal(err)
+	}
 	if reduced != 3 {
 		t.Fatalf("caller OnResult ran %d times", reduced)
 	}
 	// One warmup+run+flush trio per cell (from core), one "cell" span and
-	// one "reduce" span per cell (from the wrapper).
+	// one "reduce" span per cell (from the engine).
 	if got := tl.Len(); got < 3*3 {
 		t.Fatalf("timeline has %d spans, want at least 9", got)
+	}
+}
+
+// lockedBuffer is a bytes.Buffer safe for the concurrent progress
+// writes of several workers.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// TestProgressLines checks the progress seam: the first line is written
+// as the first cell starts — before its Spec is built, which is what a
+// set-up timer reading the first line relies on — and the last line
+// reports every cell done, at any parallelism.
+func TestProgressLines(t *testing.T) {
+	for _, par := range []int{1, 8} {
+		var out lockedBuffer
+		specs := testSpecs(7)
+		var first string
+		p := specPlan(specs, par)
+		p.Label, p.Progress = "suite", &out
+		p.Spec = func(i int) Spec {
+			if i == 0 && par == 1 {
+				first = out.String()
+			}
+			return specs[i]
+		}
+		if err := Run(p); err != nil {
+			t.Fatal(err)
+		}
+		if par == 1 && !strings.HasPrefix(first, "suite: 0/3 done, 1 in flight, ") {
+			t.Fatalf("first progress line %q, want it written as cell 0 starts", first)
+		}
+		lines := strings.Split(strings.TrimSpace(out.String()), "\n")
+		if last := lines[len(lines)-1]; !strings.HasPrefix(last, "suite: 3/3 done, 0 in flight, ") || strings.Contains(last, "ETA") {
+			t.Fatalf("par %d: final progress line %q", par, last)
+		}
 	}
 }
 
@@ -122,16 +199,15 @@ func TestStalledScrapeDoesNotBlockOnResult(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	specs := testSpecs(7)
-	ri := NewRunInstruments(reg, nil, len(specs))
-	ri.Apply(specs)
-	done := make(chan struct{})
-	go func() {
-		Run(specs, ri.Wrap(Options{Parallelism: 2}))
-		close(done)
-	}()
+	p := specPlan(testSpecs(7), 2)
+	p.Metrics = reg
+	done := make(chan error)
+	go func() { done <- Run(p) }()
 	select {
-	case <-done:
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
 	case <-time.After(60 * time.Second):
 		t.Fatal("instrumented run blocked behind a stalled scrape")
 	}
@@ -144,13 +220,13 @@ func TestStalledScrapeDoesNotBlockOnResult(t *testing.T) {
 // against the ground truth the per-cell results report.
 func TestRollupMatchesSchedulerStats(t *testing.T) {
 	reg := metrics.NewRegistry()
-	specs := testSpecs(7)
-	ri := NewRunInstruments(reg, nil, len(specs))
-	ri.Apply(specs)
 	var placed int64
-	Run(specs, ri.Wrap(Options{OnResult: func(_ int, res *core.CellResult) {
-		placed += int64(res.Sched.TasksPlaced)
-	}}))
+	p := specPlan(testSpecs(7), 0)
+	p.Metrics = reg
+	p.OnResult = func(_ int, res *core.CellResult) { placed += int64(res.Sched.TasksPlaced) }
+	if err := Run(p); err != nil {
+		t.Fatal(err)
+	}
 	if got := reg.Counter("sched_tasks_placed_total").Value(); got != placed || placed == 0 {
 		t.Fatalf("sched_tasks_placed_total = %d, results say %d", got, placed)
 	}

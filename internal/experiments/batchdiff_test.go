@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/analysis/streaming"
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -37,14 +38,13 @@ func runSuiteStreamingDelivery(t *testing.T, sc Scale, exportDir string, scalar 
 		reducers[i] = NewCellReducerFor(spec)
 	}
 
-	engine.AttachSinks(specs, func(i int) trace.Sink {
-		if scalar {
-			return scalarOnly{reducers[i]}
-		}
-		return reducers[i]
-	})
 	var exports []*trace.DirSink
 	for i := range specs {
+		if scalar {
+			specs[i].Options.ExtraSinks = append(specs[i].Options.ExtraSinks, scalarOnly{reducers[i]})
+		} else {
+			specs[i].Options.ExtraSinks = append(specs[i].Options.ExtraSinks, reducers[i])
+		}
 		specs[i].Options.NoMemTrace = true
 		shard := filepath.Join(exportDir, ShardDirName(i, specs[i].Profile.Name))
 		ds, err := trace.NewDirSink(shard, reducers[i].Meta())
@@ -62,8 +62,13 @@ func runSuiteStreamingDelivery(t *testing.T, sc Scale, exportDir string, scalar 
 	}
 
 	s := &Suite{Scale: sc, cells: reducers}
-	for _, r := range engine.Run(specs, engine.Options{Parallelism: sc.Parallelism}) {
-		s.Stats = append(s.Stats, *r)
+	err := engine.Run(engine.Plan{
+		Cells: len(specs), Parallelism: sc.Parallelism,
+		Spec:     func(i int) engine.Spec { return specs[i] },
+		OnResult: func(_ int, r *core.CellResult) { s.Stats = append(s.Stats, *r) },
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	for _, ds := range exports {
 		if err := ds.Close(); err != nil {

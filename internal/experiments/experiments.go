@@ -26,7 +26,6 @@ import (
 	"repro/internal/analysis/streaming"
 	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/progress"
 	"repro/internal/report"
 	"repro/internal/scheduler"
 	"repro/internal/sim"
@@ -59,8 +58,8 @@ type Scale struct {
 	// reporting, it never changes the output. Metrics/Timeline, when
 	// non-nil, receive the suite's instrument rollup and run timeline
 	// (each cell gets a private registry, merged in spec order — see
-	// engine.RunInstruments); like Progress, they never change the
-	// report or trace bytes.
+	// engine.Plan); like Progress, they never change the report or
+	// trace bytes.
 	core.RunKnobs
 	// RecordWorkload captures every cell's arrival/job stream into its
 	// CellResult.Workload (see SaveWorkloads for persisting a suite's
@@ -71,18 +70,6 @@ type Scale struct {
 	// recording instead of generating cell i's workload. LoadWorkloads
 	// rebuilds this slice from a recorded directory.
 	Replay []*workload.Recording
-}
-
-// engineOptions builds the suite's engine options: the scale's
-// parallelism plus progress hooks when Progress is set.
-func (sc Scale) engineOptions(cells int) engine.Options {
-	opts := engine.Options{Parallelism: sc.Parallelism}
-	if sc.Progress != nil {
-		prog := progress.New(sc.Progress, "suite", cells)
-		opts.OnStart = func(int) { prog.Start() }
-		opts.OnResult = func(int, *core.CellResult) { prog.Done() }
-	}
-	return opts
 }
 
 // SmallScale is quick enough for tests and benchmarks.
@@ -142,25 +129,20 @@ func SuiteProfiles(sc Scale) []*workload.CellProfile {
 	return profiles
 }
 
-// SuiteSpecsWith builds the suite's nine cell specs with overlay applied
-// to each freshly built profile first (nil means none) — the hook
-// parameter sweeps use to vary profile knobs per variant. Seeds and ID
-// spaces are assigned per the engine contracts.
-func SuiteSpecsWith(sc Scale, overlay func(*workload.CellProfile)) []engine.Spec {
+// SuiteSpecs builds the suite's nine cell specs — the 2011 cell at index
+// 0, then the eight 2019 cells a–h — with seeds and ID spaces assigned
+// per the engine contracts.
+func SuiteSpecs(sc Scale) []engine.Spec {
 	// Policy and Arrival act at the profile level (SuiteProfiles), so
-	// only the remaining knobs ride the per-cell options; Progress is
-	// suite-level reporting and never enters a cell, and Metrics/Timeline
-	// are applied per cell by engine.RunInstruments in the run functions.
-	// TimelineWarmup is inert until a timeline is attached.
+	// only the remaining knobs ride the per-cell options; the engine owns
+	// Progress/Metrics/Timeline. TimelineWarmup is inert until a timeline
+	// is attached.
 	base := core.Options{Horizon: sc.Horizon, RecordWorkload: sc.RecordWorkload,
 		TimelineWarmup: sc.Warmup}
 	base.UsageNoiseFast = sc.UsageNoiseFast
 	profiles := SuiteProfiles(sc)
 	specs := make([]engine.Spec, 0, len(profiles))
 	for i, p := range profiles {
-		if overlay != nil {
-			overlay(p)
-		}
 		spec := engine.NewSpec(i, p, base, sc.Seed)
 		if i < len(sc.Replay) {
 			spec.Options.Replay = sc.Replay[i]
@@ -170,24 +152,23 @@ func SuiteSpecsWith(sc Scale, overlay func(*workload.CellProfile)) []engine.Spec
 	return specs
 }
 
-// SuiteSpecs builds the suite's nine cell specs — the 2011 cell at index
-// 0, then the eight 2019 cells a–h — with seeds and ID spaces assigned
-// per the engine contracts.
-func SuiteSpecs(sc Scale) []engine.Spec {
-	return SuiteSpecsWith(sc, nil)
-}
-
 // RunSuite simulates the 2011 cell and the eight 2019 cells, sc.Parallelism
-// cells at a time, retaining every cell's full trace in memory.
+// cells at a time, retaining every cell's full trace in memory. A cell
+// that panics re-panics here, on the caller's goroutine, with its
+// *engine.CellError.
 func RunSuite(sc Scale) *Suite {
-	s, _ := runSuite(sc, false, StreamingOptions{}) // only exports can fail
+	s, err := runSuite(sc, false, StreamingOptions{}) // no exports: only a cell can fail
+	if err != nil {
+		panic(err)
+	}
 	return s
 }
 
 // RunSuiteStreaming simulates the nine-cell suite with NoMemTrace: every
 // trace row streams through the per-cell reducer (and optional CSV export
 // shard) and is dropped, so memory stays bounded by per-job reducer state
-// instead of growing with the horizon.
+// instead of growing with the horizon. A cell that panics is returned as
+// its *engine.CellError.
 func RunSuiteStreaming(sc Scale, opts StreamingOptions) (*Suite, error) {
 	return runSuite(sc, true, opts)
 }
@@ -221,17 +202,22 @@ func runSuite(sc Scale, stream bool, opts StreamingOptions) (*Suite, error) {
 		}
 	}
 
-	ri := engine.NewRunInstruments(sc.Metrics, sc.Timeline, len(specs))
-	ri.Apply(specs)
-	results := engine.Run(specs, ri.Wrap(sc.engineOptions(len(specs))))
-	for _, r := range results {
-		s.Stats = append(s.Stats, *r)
+	var traces []*trace.MemTrace
+	err := engine.Run(engine.Plan{
+		Label: "suite", Cells: len(specs), Parallelism: sc.Parallelism,
+		Progress: sc.Progress, Metrics: sc.Metrics, Timeline: sc.Timeline,
+		Spec: func(i int) engine.Spec { return specs[i] },
+		OnResult: func(_ int, r *core.CellResult) {
+			s.Stats = append(s.Stats, *r)
+			traces = append(traces, r.Trace)
+		},
+	})
+	if err != nil {
+		closeExports(exports)
+		return nil, err
 	}
 	if !stream {
-		s.T2011 = results[0].Trace
-		for _, r := range results[1:] {
-			s.T2019 = append(s.T2019, r.Trace)
-		}
+		s.T2011, s.T2019 = traces[0], traces[1:]
 	}
 	for _, ds := range exports {
 		if err := ds.Close(); err != nil {

@@ -5,6 +5,9 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"os"
+	"path/filepath"
+	"regexp"
+	"strings"
 	"testing"
 
 	"repro/internal/sim"
@@ -112,6 +115,52 @@ func TestSuiteRecordReplayRoundTrip(t *testing.T) {
 	alt.Policy = "best-fit"
 	if bytes.Equal(report(alt), r1) {
 		t.Fatal("best-fit under replayed workloads produced the baseline report — policy inert under replay")
+	}
+}
+
+// TestLoadWorkloadsRejectsCorruptCounts: a recording whose declared
+// counts exceed the records present fails as a parse error naming the
+// file, even when the counts are large enough that preallocating them
+// would exhaust memory.
+func TestLoadWorkloadsRejectsCorruptCounts(t *testing.T) {
+	sc := replayScale()
+	sc.RecordWorkload = true
+	dir := t.TempDir()
+	if err := SaveWorkloads(dir, RunSuite(sc).Stats); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, WorkloadFileName(1, "a"))
+	good, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name, pattern, repl string
+		ok                  bool
+	}{
+		{"unchanged", `^$`, "", true},
+		{"huge arrivals", `(?m)^arrivals \d+$`, "arrivals 400000000", false},
+		{"huge jobs", `(?m)^A (\d+) \d+$`, "A ${1} 400000000", false},
+		{"huge tasks", `(?m)^(J .*) \d+$`, "${1} 400000000", false},
+		{"ten times the arrivals", `(?m)^arrivals (\d+)$`, "arrivals ${1}0", false},
+		{"negative arrivals", `(?m)^arrivals \d+$`, "arrivals -1", false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			edited := regexp.MustCompile(c.pattern).ReplaceAll(good, []byte(c.repl))
+			if err := os.WriteFile(path, edited, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, err := LoadWorkloads(dir, replayScale())
+			if c.ok {
+				if err != nil {
+					t.Fatalf("LoadWorkloads rejected the unedited recording: %v", err)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), path) {
+				t.Fatalf("LoadWorkloads error %v, want a parse error naming %s", err, path)
+			}
+		})
 	}
 }
 

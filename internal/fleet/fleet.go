@@ -17,7 +17,7 @@
 //
 // # Bounded memory and rollup determinism
 //
-// Cells are streamed through engine.RunStream: specs (profile + one
+// Cells are streamed through one engine.Run plan: specs (profile + one
 // streaming.CellReducer sink, NoMemTrace) materialize as workers pick
 // up indices and are released as soon as each cell's scalars have been
 // folded into the rollup, so peak state is O(Parallelism) cells — not
@@ -37,11 +37,10 @@ import (
 	"repro/internal/analysis/streaming"
 	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/progress"
+	"repro/internal/experiments"
 	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -63,13 +62,13 @@ type Config struct {
 	// Parallelism bounds the worker pool (engine semantics: <= 0 means
 	// GOMAXPROCS). Output is identical at any value.
 	Parallelism int
-	// RunKnobs carries the shared per-run knobs, applied to every cell:
-	// Policy/Arrival overrides, the usage-noise fast path (a versioned
-	// trace bump; see core.RunKnobs), and the Progress writer for live
-	// progress lines (cells done / in flight / ETA). Metrics/Timeline,
-	// when non-nil, receive the fleet-level instrument rollup and run
-	// timeline (per-cell registries merged in fleet order; never change
-	// the report bytes).
+	// RunKnobs carries the shared per-run knobs: Policy/Arrival
+	// overrides and the usage-noise fast path (a versioned trace bump;
+	// see core.RunKnobs) apply to every cell; the Progress writer
+	// receives live progress lines (cells done / in flight / ETA), and
+	// Metrics/Timeline, when non-nil, receive the fleet-level instrument
+	// rollup and run timeline (per-cell registries merged in fleet order;
+	// never change the report bytes).
 	core.RunKnobs
 	// OnCell, when set, observes each cell's summary in fleet order as
 	// it completes — the streaming hook per-cell CSV export hangs off.
@@ -105,30 +104,21 @@ type Report struct {
 func cellName(i int) string { return fmt.Sprintf("f%03d", i) }
 
 // Spec expands fleet cell i into its engine spec: sampled profile,
-// derived seed, disjoint ID space, NoMemTrace with the given extra
-// sinks. It is exported so tests (and future front-ends) can reproduce
-// exactly the spec the fleet would run.
-func (cfg Config) Spec(i int, sinks ...trace.Sink) engine.Spec {
+// derived seed, disjoint ID space, NoMemTrace. It is exported so tests
+// (and future front-ends) can reproduce exactly the spec the fleet
+// would run.
+func (cfg Config) Spec(i int) engine.Spec {
 	seed := engine.DeriveSeed(cfg.Seed, i)
 	p := workload.SampleFleetProfile(cellName(i), cfg.medianMachines(),
 		rng.New(seed).Split("fleet-profile"))
-	knobs := cfg.RunKnobs
-	// Progress is fleet-level reporting, and the fleet registry/timeline
-	// must not be written by concurrent cells directly: Run gives each
-	// cell a private registry and merges in fleet order
-	// (engine.RunInstruments), so all three are nilled per cell.
-	knobs.Progress = nil
-	knobs.Metrics = nil
-	knobs.Timeline = nil
 	return engine.Spec{
 		Profile: p,
 		Options: core.Options{
-			RunKnobs:   knobs,
+			RunKnobs:   cfg.RunKnobs,
 			Horizon:    cfg.horizon(),
 			Seed:       seed,
 			IDBase:     engine.IDBase(i),
 			NoMemTrace: true,
-			ExtraSinks: sinks,
 		},
 	}
 }
@@ -154,7 +144,9 @@ func (cfg Config) warmup() sim.Time {
 	return cfg.Warmup
 }
 
-// Run simulates the fleet and returns its rollup report.
+// Run simulates the fleet and returns its rollup report. A cell that
+// panics re-panics here, on the caller's goroutine, with its
+// *engine.CellError.
 func Run(cfg Config) *Report {
 	n := cfg.Cells
 	names := streaming.ScalarNames()
@@ -172,30 +164,20 @@ func Run(cfg Config) *Report {
 		return rep
 	}
 
-	prog := progress.New(cfg.Progress, "fleet", n)
 	// reducers[i] is created with cell i's spec and released once its
-	// scalars are rolled up: the engine's mutex-ordered handoff from the
-	// building worker to the delivering worker covers the slot.
+	// scalars are rolled up; the engine's handoff of cell i's outcome
+	// from its worker to OnResult orders the two.
 	reducers := make([]*streaming.CellReducer, n)
 	warmup := cfg.warmup()
-	ri := engine.NewRunInstruments(cfg.Metrics, cfg.Timeline, n)
-	engine.RunStream(n, func(i int) engine.Spec {
-		spec := cfg.Spec(i)
-		spec.Options = ri.Cell(i, spec.Options)
-		reducers[i] = streaming.NewCellReducer(streaming.Config{
-			Meta: trace.Meta{
-				Era: spec.Profile.Era, Cell: spec.Profile.Name,
-				Duration: spec.Options.Horizon,
-				Machines: spec.Profile.Machines,
-				Seed:     spec.Options.Seed,
-			},
-			SnapshotAt: spec.Options.Horizon / 2,
-		})
-		spec.Options.ExtraSinks = append(spec.Options.ExtraSinks, reducers[i])
-		return spec
-	}, ri.Wrap(engine.Options{
-		Parallelism: cfg.Parallelism,
-		OnStart:     func(int) { prog.Start() },
+	err := engine.Run(engine.Plan{
+		Label: "fleet", Cells: n, Parallelism: cfg.Parallelism,
+		Progress: cfg.Progress, Metrics: cfg.Metrics, Timeline: cfg.Timeline,
+		Spec: func(i int) engine.Spec {
+			spec := cfg.Spec(i)
+			reducers[i] = experiments.NewCellReducerFor(spec)
+			spec.Options.ExtraSinks = append(spec.Options.ExtraSinks, reducers[i])
+			return spec
+		},
 		OnResult: func(i int, res *core.CellResult) {
 			scalars := reducers[i].Scalars(warmup)
 			reducers[i] = nil
@@ -213,9 +195,11 @@ func Run(cfg Config) *Report {
 					Machines: res.Profile.Machines, Scalars: scalars,
 				})
 			}
-			prog.Done()
 		},
-	}))
+	})
+	if err != nil {
+		panic(err) // re-raised on the caller's goroutine, where recover can catch it
+	}
 	rep.Rollup = rollup(names, digests, sums, n)
 	return rep
 }

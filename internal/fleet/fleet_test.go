@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/analysis/streaming"
+	"repro/internal/engine"
 	"repro/internal/sim"
 )
 
@@ -141,4 +142,20 @@ func TestFleetEmpty(t *testing.T) {
 	if len(rep.Rollup) != len(streaming.ScalarNames()) {
 		t.Fatal("empty fleet rollup missing metric rows")
 	}
+}
+
+// TestFleetCellPanicReachesCaller checks a cell panic (an unregistered
+// arrival process) re-panics on the caller's goroutine as the first
+// cell's *engine.CellError, where recover can catch it.
+func TestFleetCellPanicReachesCaller(t *testing.T) {
+	cfg := testConfig(4)
+	cfg.Arrival = "no-such-process"
+	defer func() {
+		ce, ok := recover().(*engine.CellError)
+		if !ok || ce.Index != 0 || ce.Profile != "f000" || ce.Seed != cfg.Spec(0).Options.Seed {
+			t.Fatalf("recovered %#v, want cell 0's *engine.CellError", ce)
+		}
+	}()
+	Run(cfg)
+	t.Fatal("Run returned despite the cell panic")
 }

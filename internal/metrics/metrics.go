@@ -25,7 +25,7 @@
 //
 // Concurrent cells never share a registry. Each cell writes to its own,
 // and the engine merges per-cell registries into the run-level rollup
-// in spec order on the serialized OnResult path (engine.RunInstruments)
+// in spec order on the serialized OnResult path (engine.Run)
 // — the same discipline the streaming reducers use, so rollups are
 // deterministic at any parallelism. Counter and gauge merges are
 // associative and exact; histogram quantiles are t-digest estimates

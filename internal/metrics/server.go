@@ -117,7 +117,7 @@ func (s *Server) handleTimeline(w http.ResponseWriter, req *http.Request) {
 }
 
 // handleProgress serves the live progress/ETA view from the run
-// counters engine.RunInstruments maintains (run_cells_total/
+// counters engine.Run maintains (run_cells_total/
 // _started_total/_done_total). Before a run registers cells it shows
 // elapsed time only.
 func (s *Server) handleProgress(w http.ResponseWriter, req *http.Request) {

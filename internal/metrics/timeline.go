@@ -23,8 +23,8 @@ type Span struct {
 // exports them as a Chrome trace_event JSON file (load it in
 // chrome://tracing or Perfetto to see where a fleet run's wall time
 // went, cell by cell). Timelines observe wall time only — they sit
-// outside the simulation's determinism boundary, like
-// internal/progress.
+// outside the simulation's determinism boundary, like the engine's
+// progress lines.
 type Timeline struct {
 	mu    sync.Mutex
 	begin time.Time

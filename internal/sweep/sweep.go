@@ -37,7 +37,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/experiments"
-	"repro/internal/progress"
 	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -47,6 +46,7 @@ import (
 // cell profiles of a grid point (arrival-rate multipliers, machine-count
 // scaling, tier-mix shifts, overcommit or admission-ceiling settings, …)
 // before simulation. A nil Apply is the identity (baseline) variant.
+// Engine workers call Apply concurrently, each on its own profile.
 type Variant struct {
 	Name  string
 	Apply func(*workload.CellProfile)
@@ -136,46 +136,41 @@ func Run(d Def) (*Result, error) {
 	}
 
 	cells := len(experiments.SuiteProfiles(d.Scale))
-	specs := make([]engine.Spec, 0, d.Seeds*len(variants)*cells)
-	reducers := make([]*streaming.CellReducer, 0, cap(specs))
+	n := d.Seeds * len(variants) * cells
+	reducers := make([]*streaming.CellReducer, n)
+	results := make([]*core.CellResult, n)
 	base := core.Options{Horizon: d.Scale.Horizon, NoMemTrace: true,
 		TimelineWarmup: d.Scale.Warmup}
 	base.UsageNoiseFast = d.Scale.UsageNoiseFast
-	flat := 0
-	for run := 0; run < d.Seeds; run++ {
-		for _, v := range variants {
-			for c, p := range experiments.SuiteProfiles(d.Scale) {
-				if v.Apply != nil {
-					v.Apply(p)
-				}
-				spec := engine.NewGridSpec(run, c, flat, p, base, d.Scale.Seed)
-				if c < len(d.Scale.Replay) {
-					// The same recorded workload at every grid point of
-					// cell c: variants then differ only in what the
-					// scheduler does with identical arrivals.
-					spec.Options.Replay = d.Scale.Replay[c]
-				}
-				red := experiments.NewCellReducerFor(spec)
-				spec.Options.ExtraSinks = append(spec.Options.ExtraSinks, red)
-				specs = append(specs, spec)
-				reducers = append(reducers, red)
-				flat++
-			}
-		}
-	}
-
-	opts := engine.Options{Parallelism: d.Parallelism}
-	if d.Scale.Progress != nil {
-		prog := progress.New(d.Scale.Progress, "sweep", len(specs))
-		opts.OnStart = func(int) { prog.Start() }
-		opts.OnResult = func(int, *core.CellResult) { prog.Done() }
-	}
 	// Grid points feed the sweep-level registry/timeline like suite cells
 	// feed a suite's: one private registry per point, merged in grid
 	// order, one timeline row per flat index.
-	ri := engine.NewRunInstruments(d.Scale.Metrics, d.Scale.Timeline, len(specs))
-	ri.Apply(specs)
-	results := engine.Run(specs, ri.Wrap(opts))
+	err := engine.Run(engine.Plan{
+		Label: "sweep", Cells: n, Parallelism: d.Parallelism,
+		Progress: d.Scale.Progress, Metrics: d.Scale.Metrics, Timeline: d.Scale.Timeline,
+		Spec: func(flat int) engine.Spec {
+			// The flat index enumerates run, then variant, then cell.
+			run, c := flat/(len(variants)*cells), flat%cells
+			p := experiments.SuiteProfiles(d.Scale)[c]
+			if v := variants[flat/cells%len(variants)]; v.Apply != nil {
+				v.Apply(p)
+			}
+			spec := engine.NewGridSpec(run, c, flat, p, base, d.Scale.Seed)
+			if c < len(d.Scale.Replay) {
+				// The same recorded workload at every grid point of
+				// cell c: variants then differ only in what the
+				// scheduler does with identical arrivals.
+				spec.Options.Replay = d.Scale.Replay[c]
+			}
+			reducers[flat] = experiments.NewCellReducerFor(spec)
+			spec.Options.ExtraSinks = append(spec.Options.ExtraSinks, reducers[flat])
+			return spec
+		},
+		OnResult: func(flat int, r *core.CellResult) { results[flat] = r },
+	})
+	if err != nil {
+		return nil, err
+	}
 
 	res := &Result{Def: d, Metrics: MetricNames(), Cells: cells}
 	res.Def.Variants = variants

@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
@@ -9,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/experiments"
 	"repro/internal/scheduler"
 	"repro/internal/sim"
@@ -236,7 +238,9 @@ func TestParseVariants(t *testing.T) {
 	if vs[0].Apply == nil || vs[4].Apply != nil {
 		t.Fatal("arrival variant must have an overlay; baseline must not")
 	}
-	for _, bad := range []string{"bogus:1", "arrival:zero", "arrival:-1", "arrival"} {
+	for _, bad := range []string{"bogus:1", "arrival:zero", "arrival:-1", "arrival",
+		"arrival:NaN", "arrival:Inf", "machines:NaN", "overcommit:+Inf", "prodshift:1e300",
+		"hot:arrival=NaN", "hot:machines=-Inf", "arrival:gamma:cv=NaN", "arrival:cohorts:k=1e12"} {
 		if _, err := ParseVariants(bad); err == nil {
 			t.Fatalf("ParseVariants(%q) accepted", bad)
 		}
@@ -504,4 +508,78 @@ func mustVariant(t *testing.T, spec string) Variant {
 		t.Fatalf("ParseVariants(%q): %v (%d variants)", spec, err, len(vs))
 	}
 	return vs[0]
+}
+
+// FuzzParseVariants checks every variant ParseVariants accepts leaves
+// the profile knobs it overlays finite and non-negative (a product of
+// positive values may underflow to zero), at least one machine, and an
+// arrival spec whose knobs are finite, positive and within MaxCohorts.
+func FuzzParseVariants(f *testing.F) {
+	for _, spec := range []string{
+		"baseline;arrival:0.5,1.0,2.0;overcommit:1.25",
+		"policy:best-fit,worst-fit;zoo-hot:policy=oversub,arrival=1.5",
+		"arrival:2,gamma:cv=2.5,cohorts:k=40+skew=1.5;bursty:arrival=weibull:cv=3,policy=best-fit",
+		"machines:0.5;allocceiling:0.3;prodshift:2",
+		"arrival:NaN", "arrival:gamma:cv=NaN", "arrival:cohorts:k=1e12", "arrival:cohorts:k=Inf",
+		"hot:arrival=Inf,overcommit=NaN",
+	} {
+		f.Add(spec)
+	}
+	finite := func(v float64) bool { return v >= 0 && !math.IsInf(v, 1) }
+	f.Fuzz(func(t *testing.T, spec string) {
+		vs, err := ParseVariants(spec)
+		if err != nil {
+			return
+		}
+		for _, v := range vs {
+			p := workload.Profile2019("a", 100)
+			if v.Apply != nil {
+				v.Apply(p)
+			}
+			ok := finite(p.JobsPerHour) && finite(p.Overcommit.CPUFactor) &&
+				finite(p.Overcommit.MemFactor) && finite(p.BatchAllocCeiling) && p.Machines >= 1
+			shares := make([]float64, len(p.Tiers))
+			for i, tier := range p.Tiers {
+				shares[i] = tier.ArrivalShare
+				ok = ok && finite(tier.ArrivalShare)
+			}
+			if !ok {
+				t.Fatalf("variant %q of %q left jobs/h %g, overcommit %+v, alloc ceiling %g, machines %d, tier shares %v",
+					v.Name, spec, p.JobsPerHour, p.Overcommit, p.BatchAllocCeiling, p.Machines, shares)
+			}
+			if p.Arrival == "" {
+				continue
+			}
+			a, err := workload.ParseArrival(p.Arrival)
+			if err != nil {
+				t.Fatalf("variant %q of %q set arrival %q: %v", v.Name, spec, p.Arrival, err)
+			}
+			for knob, x := range a.Knobs {
+				if !(x > 0) || math.IsInf(x, 1) || (knob == "k" && x > workload.MaxCohorts) {
+					t.Fatalf("variant %q of %q accepted arrival knob %s=%g", v.Name, spec, knob, x)
+				}
+			}
+		}
+	})
+}
+
+// TestRunReturnsCellPanic runs a sweep whose second variant makes every
+// cell panic (an unregistered arrival process): Run must return the
+// first failing grid point's CellError instead of ending the process.
+func TestRunReturnsCellPanic(t *testing.T) {
+	d := Def{Scale: tinyScale(), Seeds: 1, Parallelism: 2, Variants: []Variant{
+		Baseline(),
+		{Name: "broken", Apply: func(p *workload.CellProfile) { p.Arrival = "no-such-process" }},
+	}}
+	res, err := Run(d)
+	var ce *engine.CellError
+	if !errors.As(err, &ce) {
+		t.Fatalf("Run returned (%v, %v), want a *engine.CellError", res, err)
+	}
+	cells := len(experiments.SuiteProfiles(d.Scale))
+	want := experiments.SuiteProfiles(d.Scale)[0].Name
+	if ce.Index != cells || ce.Profile != want || ce.Seed != engine.DeriveGridSeed(d.Scale.Seed, 0, 0) {
+		t.Fatalf("CellError names grid point %d (%q, seed %d), want %d (%q, seed %d)",
+			ce.Index, ce.Profile, ce.Seed, cells, want, engine.DeriveGridSeed(d.Scale.Seed, 0, 0))
+	}
 }

@@ -110,8 +110,8 @@ func ArrivalProcessVariant(spec string) (Variant, error) {
 // (ArrivalProcessVariant).
 func arrivalVariant(value, clause string) (Variant, error) {
 	if f, err := strconv.ParseFloat(value, 64); err == nil {
-		if f <= 0 {
-			return Variant{}, fmt.Errorf("sweep: value %g in clause %q must be positive", f, clause)
+		if err := checkValue(f, clause); err != nil {
+			return Variant{}, err
 		}
 		return ArrivalScale(f), nil
 	}
@@ -135,6 +135,20 @@ func PolicyVariant(name string) (Variant, error) {
 		Name:  "policy:" + name,
 		Apply: func(p *workload.CellProfile) { p.Policy = policy },
 	}, nil
+}
+
+// maxValue bounds every numeric variant value ParseVariants accepts: far
+// above any meaningful multiplier or fraction, and small enough that
+// applying it to a profile knob cannot overflow to infinity.
+const maxValue = 1e6
+
+// checkValue rejects a numeric variant value outside (0, maxValue],
+// NaN included.
+func checkValue(v float64, clause string) error {
+	if !(v > 0 && v <= maxValue) {
+		return fmt.Errorf("sweep: value %g in clause %q must be positive, finite and at most %g", v, clause, float64(maxValue))
+	}
+	return nil
 }
 
 // families maps a ParseVariants family keyword to its constructor.
@@ -190,8 +204,8 @@ func knobVariant(knob, value, clause string) (Variant, error) {
 	if err != nil {
 		return Variant{}, fmt.Errorf("sweep: bad value %q for knob %q in clause %q", value, knob, clause)
 	}
-	if f <= 0 {
-		return Variant{}, fmt.Errorf("sweep: value %g for knob %q in clause %q must be positive", f, knob, clause)
+	if err := checkValue(f, clause); err != nil {
+		return Variant{}, err
 	}
 	return mk(f), nil
 }
@@ -245,8 +259,9 @@ func parseNamedClause(name, values, clause string) (Variant, error) {
 //	baseline;arrival:0.5,weibull:cv=3;policy:best-fit;zoo-hot:policy=oversub,arrival=1.5
 //
 // expands to five variants. Unknown clause, knob, policy and arrival
-// names error with the valid set — a typo never silently no-ops. An
-// empty spec yields just the baseline.
+// names error with the valid set — a typo never silently no-ops — and a
+// numeric value must lie in (0, 1e6]. An empty spec yields just the
+// baseline.
 func ParseVariants(spec string) ([]Variant, error) {
 	spec = strings.TrimSpace(spec)
 	if spec == "" {
@@ -308,8 +323,8 @@ func ParseVariants(spec string) ([]Variant, error) {
 			if err != nil {
 				return nil, fmt.Errorf("sweep: bad value %q in clause %q", vs, clause)
 			}
-			if v <= 0 {
-				return nil, fmt.Errorf("sweep: value %g in clause %q must be positive", v, clause)
+			if err := checkValue(v, clause); err != nil {
+				return nil, err
 			}
 			out = append(out, mk(v))
 		}

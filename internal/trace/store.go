@@ -113,19 +113,6 @@ func (t *MemTrace) InstanceEventsOf(k InstanceKey) []InstanceEvent {
 	return out
 }
 
-// InstancesOfCollection returns the instance keys belonging to one
-// collection, sorted by index.
-func (t *MemTrace) InstancesOfCollection(id CollectionID) []InstanceKey {
-	var keys []InstanceKey
-	for k := range t.instIndex {
-		if k.Collection == id {
-			keys = append(keys, k)
-		}
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i].Index < keys[j].Index })
-	return keys
-}
-
 // CollectionInfo is the static view of one collection, reconstructed from
 // its first event (the trace repeats static attributes on every row).
 type CollectionInfo struct {

@@ -180,9 +180,6 @@ func TestMemTraceIndexes(t *testing.T) {
 	if evs := tr.InstanceEventsOf(InstanceKey{10, 0}); len(evs) != 3 {
 		t.Fatalf("instance events %v", evs)
 	}
-	if keys := tr.InstancesOfCollection(10); len(keys) != 1 {
-		t.Fatalf("instances of collection %v", keys)
-	}
 	if tr.Counts() == "" {
 		t.Fatal("counts")
 	}

@@ -155,6 +155,10 @@ func ArrivalNames() []string {
 	return out
 }
 
+// MaxCohorts caps the cohorts process's client count k: every arrival
+// scans all k clients, so a larger k would dominate the run's cost.
+const MaxCohorts = 10000
+
 // ParseArrival parses an arrival-process spec string:
 //
 //	name[:knob=value[,knob=value...]]
@@ -175,7 +179,8 @@ func ArrivalNames() []string {
 //
 // An empty spec selects poisson. Unknown process and knob names error
 // with the valid set, so a typo never silently simulates the wrong
-// workload.
+// workload. Every knob value must be positive and finite, and k at most
+// MaxCohorts.
 func ParseArrival(spec string) (ArrivalSpec, error) {
 	raw := strings.TrimSpace(spec)
 	if raw == "" {
@@ -221,8 +226,11 @@ func ParseArrival(spec string) (ArrivalSpec, error) {
 		if err != nil {
 			return ArrivalSpec{}, fmt.Errorf("workload: bad value %q for arrival knob %q in %q", value, knob, raw)
 		}
-		if v <= 0 {
-			return ArrivalSpec{}, fmt.Errorf("workload: arrival knob %s=%g in %q must be positive", knob, v, raw)
+		if !(v > 0) || math.IsInf(v, 1) {
+			return ArrivalSpec{}, fmt.Errorf("workload: arrival knob %s=%g in %q must be positive and finite", knob, v, raw)
+		}
+		if knob == "k" && v > MaxCohorts {
+			return ArrivalSpec{}, fmt.Errorf("workload: arrival knob k=%g in %q exceeds the maximum of %d clients", v, raw, MaxCohorts)
 		}
 		out.Knobs[knob] = v
 	}

@@ -257,8 +257,8 @@ func (rec *Recording) WriteTo(w io.Writer) (int64, error) {
 		return n, err
 	}
 	if err := write("cell %s\nera %d\nmachines %d\nhorizon %d\nseed %d\narrival %s\nidbase %d\narrivals %d\n",
-		quoteIfEmpty(m.Cell), int(m.Era), m.Machines, int64(m.Horizon), m.Seed,
-		quoteIfEmpty(m.Arrival), uint64(m.IDBase), len(rec.Arrivals)); err != nil {
+		quoteHeader(m.Cell), int(m.Era), m.Machines, int64(m.Horizon), m.Seed,
+		quoteHeader(m.Arrival), uint64(m.IDBase), len(rec.Arrivals)); err != nil {
 		return n, err
 	}
 	for ai := range rec.Arrivals {
@@ -286,11 +286,12 @@ func (rec *Recording) WriteTo(w io.Writer) (int64, error) {
 	return n, bw.Flush()
 }
 
-// quoteIfEmpty keeps header values single-token (empty strings and
-// strings with spaces are quoted; plain tokens stay bare for
-// readability).
-func quoteIfEmpty(s string) string {
-	if s == "" || strings.ContainsAny(s, " \t\"") {
+// quoteHeader keeps header values single-token: empty strings and
+// strings with spaces or with anything strconv.Quote escapes (quotes,
+// backslashes, newlines and other non-printing runes) are quoted; plain
+// tokens stay bare for readability.
+func quoteHeader(s string) string {
+	if s == "" || strings.ContainsRune(s, ' ') || strconv.Quote(s) != `"`+s+`"` {
 		return strconv.Quote(s)
 	}
 	return s
@@ -302,6 +303,11 @@ func unquoteHeader(s string) (string, error) {
 	}
 	return s, nil
 }
+
+// maxPrealloc caps a slice preallocated from a count the recording
+// declares: append grows past it, so a corrupt count costs at most this
+// many slots before the per-record loop rejects the missing records.
+const maxPrealloc = 1 << 16
 
 // ReadRecording parses a recording written by WriteTo. It validates the
 // magic, the version, and every count, so a truncated or corrupted file
@@ -392,7 +398,7 @@ func ReadRecording(r io.Reader) (*Recording, error) {
 		}
 	}
 
-	rec.Arrivals = make([]RecordedArrival, 0, arrivals)
+	rec.Arrivals = make([]RecordedArrival, 0, min(arrivals, maxPrealloc))
 	for ai := 0; ai < arrivals; ai++ {
 		line, err := next()
 		if err != nil {
@@ -407,7 +413,7 @@ func ReadRecording(r io.Reader) (*Recording, error) {
 		if err1 != nil || err2 != nil || njobs < 0 {
 			return nil, errAt("bad arrival record %q", line)
 		}
-		arr := RecordedArrival{At: sim.Time(at), Jobs: make([]RecordedJob, 0, njobs)}
+		arr := RecordedArrival{At: sim.Time(at), Jobs: make([]RecordedJob, 0, min(njobs, maxPrealloc))}
 		for ji := 0; ji < njobs; ji++ {
 			line, err := next()
 			if err != nil {
@@ -466,7 +472,7 @@ func parseJobLine(line string) (RecordedJob, int, error) {
 	if ntasks < 0 {
 		return j, 0, fmt.Errorf("bad job record %q: negative task count", line)
 	}
-	j.Tasks = make([]RecordedTask, 0, ntasks)
+	j.Tasks = make([]RecordedTask, 0, min(ntasks, maxPrealloc))
 	return j, ntasks, nil
 }
 
