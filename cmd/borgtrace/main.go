@@ -73,7 +73,7 @@ func main() {
 			Horizon:    horizon,
 			Seed:       *seed,
 			NoMemTrace: true,
-			ExtraSinks: []trace.Sink{trace.NewBufferedSink(ds, 0)},
+			ExtraSinks: []trace.Sink{ds},
 		})
 		if err := ds.Close(); err != nil {
 			log.Fatal(err)

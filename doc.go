@@ -29,12 +29,11 @@
 //     one-shot — swaps in by name (scheduler.ParsePolicy) through
 //     core.Options, experiments.Scale, and sweep variants.
 //   - internal/trace — the 2019-schema data model and the streaming sink
-//     pipeline: rows flow through composable trace.Sink implementations
-//     (FanOut, BufferedSink batching, SyncSink for sinks shared across
-//     cells, CountingSink online reduction). Full in-memory retention
-//     (MemTrace) is just one sink and can be switched off per run. Sinks
-//     that can absorb many usage rows at once additionally implement
-//     trace.UsageBatcher (see "Usage pipeline and sink batching" below).
+//     pipeline: rows flow through trace.Sink, one method per table, with
+//     usage rows delivered in blocks (see "Usage pipeline" below), into
+//     composable per-cell sinks (FanOut, CountingSink online reduction,
+//     DirSink CSV export). Full in-memory retention (MemTrace) is just
+//     one sink and can be switched off per run.
 //   - internal/core — the single-cell façade: wires one cell's
 //     components and sink pipeline and runs it to the horizon.
 //   - internal/engine — multi-cell orchestration: engine.Run(Plan) is
@@ -108,7 +107,7 @@
 // that: experiments.RunSuiteStreaming runs all nine
 // cells with core.Options.NoMemTrace, each cell's rows folding through
 // one streaming.CellReducer (and, optionally, a sharded CSV export via
-// trace.DirSink behind a BufferedSink) before being dropped. Reducer
+// trace.DirSink) before being dropped. Reducer
 // state grows only with the number of jobs and tasks — the aggregates
 // the figures inherently need — cutting the LargeScale suite's peak heap
 // by ~10x (BENCH_PR4.json). The reducer is the only analysis
@@ -121,7 +120,7 @@
 // a benchmark-regression gate against the checked-in baselines, and a
 // peak-HeapAlloc ceiling on the LargeScale streaming suite.
 //
-// # Usage pipeline and sink batching
+// # Usage pipeline
 //
 // Usage sampling is the per-window hot loop: every five simulated
 // minutes the sampler visits every occupied machine and emits one
@@ -134,33 +133,25 @@
 // sampling window performs zero heap allocations (AllocsPerRun-guarded
 // in CI, like the placement fast path).
 //
-// The delivery side batches: instead of one Sink.Usage virtual call per
-// record, the sampler hands each machine-window's records to the sink
-// as one []UsageRecord. The contract is trace.UsageBatcher, an optional
-// capability interface next to trace.Sink:
+// The delivery side is one method: Sink.Usage takes a block of rows.
+// The sampler hands over each machine-window's records as one
+// []UsageRecord, and a task stopping mid-window sends its partial
+// record as a one-record block. The contract:
 //
-//   - UsageBatch(recs) must be semantically identical to calling
-//     Usage(recs[i]) for i in order — batching changes the call count,
-//     never the row sequence any downstream observes.
+//   - A block is ordered, and how a stream is cut into blocks never
+//     changes what a sink computes or writes.
 //   - The slice is only valid for the duration of the call (the sampler
-//     reuses it next window); implementations that retain rows must
-//     copy them out, as MemTrace and BufferedSink do.
-//   - trace.EmitUsageBatch(sink, recs) is the dispatch helper: it
-//     type-asserts once and falls back to the per-record loop for plain
-//     scalar sinks, so batching is transparent to sinks that never opt
-//     in.
+//     reuses it for the next machine); sinks that retain rows copy them,
+//     as MemTrace does.
 //
-// The composable sinks propagate the capability end to end: FanOut
-// forwards a batch to every child (each child independently batched or
-// scalar), SyncSink holds its lock once per batch, CountingSink counts
-// len(recs) in one step, BufferedSink passes batches straight through
-// to a batch-capable downstream (draining any buffered scalar stragglers
-// first, preserving row order) and buffers row-by-row otherwise, and
-// streaming.CellReducer folds a whole batch with its per-collection
-// classification memoized across adjacent rows. Batched and scalar
-// delivery produce byte-identical reports and CSV export shards at any
-// parallelism — CI pins that with a differential test that forces the
-// scalar path through an interposer and diffs the bytes.
+// FanOut forwards each block to every child, CountingSink counts
+// len(recs) in one step, DirSink encodes the rows through its per-table
+// write buffer, and streaming.CellReducer folds a block with its
+// per-collection lookup memoized across adjacent rows. UsageRecord holds
+// no pointer, so retained usage tables add nothing to the garbage
+// collector's scan work. Machine-window blocks and the same rows re-sent
+// as one-record blocks produce byte-identical reports and CSV export
+// shards at any parallelism (TestBatchedScalarDeliveryByteIdentical).
 //
 // What remains of the window cost after those two halves is mostly
 // random-number arithmetic: each resident draws two lognormal noise

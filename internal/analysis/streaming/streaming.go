@@ -257,19 +257,13 @@ func (r *CellReducer) InstanceEvent(ev trace.InstanceEvent) {
 	}
 }
 
-// Usage reduces one instance_usage row.
-func (r *CellReducer) Usage(rec trace.UsageRecord) {
-	r.mutable()
-	r.usageOne(&rec, r.colls[rec.Key.Collection])
-}
-
-// UsageBatch reduces a block of instance_usage rows. Each record folds
-// exactly as a scalar Usage call would — same terms, same order — so
-// batched and scalar delivery of the same stream are bit-identical. The
-// collection lookup is memoized across adjacent records: a machine
-// window's batch arrives in victim order (priority, then collection),
-// so same-collection records cluster.
-func (r *CellReducer) UsageBatch(recs []trace.UsageRecord) {
+// Usage reduces a block of instance_usage rows in order. The collection
+// lookup is memoized across adjacent records: a machine window's block
+// arrives in victim order (priority, then collection), so
+// same-collection records cluster. Memoization skips only the map
+// lookup, never a fold, so the reduced state does not depend on how the
+// stream is cut into blocks.
+func (r *CellReducer) Usage(recs []trace.UsageRecord) {
 	r.mutable()
 	var lastC *collState
 	var lastID trace.CollectionID
@@ -505,8 +499,6 @@ func Replay(tr *trace.MemTrace, cfg Config) *CellReducer {
 	for _, ev := range tr.InstanceEvents {
 		r.InstanceEvent(ev)
 	}
-	for _, rec := range tr.UsageRecords {
-		r.Usage(rec)
-	}
+	r.Usage(tr.UsageRecords)
 	return r
 }

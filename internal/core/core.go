@@ -25,7 +25,6 @@ import (
 	"repro/internal/rng"
 	"repro/internal/scheduler"
 	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -81,13 +80,11 @@ type Options struct {
 	// Seed is the root seed; every random stream derives from it, so a
 	// (profile, horizon, seed) triple fully determines the trace.
 	Seed uint64
-	// Histograms enables per-window 21-bucket CPU histograms on usage
-	// records (costly; off by default).
-	Histograms bool
 	// ExtraSinks receive every trace row in addition to the in-memory
-	// store (e.g. streaming analyzers). Wrap a shared sink in
-	// trace.NewSyncSink when the same instance also receives rows from
-	// other concurrently simulated cells.
+	// store (e.g. streaming analyzers, a trace.DirSink export). They are
+	// driven by this cell's goroutine alone and flushed at the end of the
+	// run, so each must belong to this cell: concurrently simulated cells
+	// get their own sinks.
 	ExtraSinks []trace.Sink
 	// NoMemTrace disables full in-memory trace retention: rows stream
 	// only to ExtraSinks (and the row counter) and CellResult.Trace is
@@ -277,7 +274,7 @@ func Run(p *workload.CellProfile, opts Options) *CellResult {
 	// tasks stop between samples (so sub-window mice show up in the
 	// usage table, as they do in the real trace).
 	sampler := newUsageSampler(p, cell, sched, ap, sink, root.Split("usage"),
-		opts.Histograms, opts.UsageNoiseFast)
+		opts.UsageNoiseFast)
 	sampler.k = k
 	sched.UnplaceHook = sampler.taskStopped
 	// Instruments piggyback on the sampling tick: the queue-depth
@@ -355,13 +352,8 @@ type usageSampler struct {
 	sched *scheduler.Scheduler
 	ap    *autopilot.Autopilot
 	sink  trace.Sink
-	// batcher is sink's UsageBatcher capability, asserted once at
-	// construction so the per-machine emit pays no dynamic dispatch.
-	// Nil when sink only takes scalar rows.
-	batcher    trace.UsageBatcher
-	src        *rng.Source
-	k          *sim.Kernel
-	histograms bool
+	src   *rng.Source
+	k     *sim.Kernel
 	// noise is non-nil iff Options.UsageNoiseFast: the stratified lookup
 	// pair that stands in for the exact lognormal draws.
 	noise *noiseTable
@@ -372,9 +364,12 @@ type usageSampler struct {
 	// (see sample); reused like obsBuf.
 	machBuf []*cluster.Machine
 	// recBuf collects one machine-window's usage records and is handed to
-	// the sink as a single batch (trace.EmitUsageBatch); the sink must not
-	// retain it, so the buffer is reused every machine.
+	// the sink as one block; the sink must not retain it, so the buffer is
+	// reused every machine.
 	recBuf []trace.UsageRecord
+	// partialRec is the one-record block taskStopped emits, owned by the
+	// sampler so the partial-window path does not allocate either.
+	partialRec [1]trace.UsageRecord
 	// trackSeen maps instance keys the autopilot has open windows for to
 	// the last sampling generation that observed them; entries whose stamp
 	// falls behind trackGen belong to tasks that stopped running and are
@@ -397,10 +392,9 @@ type usageSampler struct {
 }
 
 func newUsageSampler(p *workload.CellProfile, cell *cluster.Cell, sched *scheduler.Scheduler,
-	ap *autopilot.Autopilot, sink trace.Sink, src *rng.Source, histograms, fastNoise bool) *usageSampler {
+	ap *autopilot.Autopilot, sink trace.Sink, src *rng.Source, fastNoise bool) *usageSampler {
 	u := &usageSampler{
 		p: p, cell: cell, sched: sched, ap: ap, sink: sink, src: src,
-		histograms: histograms,
 		partialCPU: make(map[trace.MachineID]float64),
 		partialMem: make(map[trace.MachineID]float64),
 	}
@@ -410,7 +404,6 @@ func newUsageSampler(p *workload.CellProfile, cell *cluster.Cell, sched *schedul
 	if ap != nil {
 		u.trackSeen = make(map[trace.InstanceKey]uint64)
 	}
-	u.batcher, _ = sink.(trace.UsageBatcher)
 	return u
 }
 
@@ -434,7 +427,7 @@ func (u *usageSampler) usageNoise() (noiseC, noiseM float64) {
 // sorting or grouping maps. Machines without residents consume no
 // randomness, which is what makes the occupied-only walk draw-for-draw
 // identical to a full machine scan. Each machine's records leave as one
-// batch (trace.EmitUsageBatch), and steady-state sampling with autopilot
+// block (one Sink.Usage call), and steady-state sampling with autopilot
 // disabled performs zero heap allocations.
 func (u *usageSampler) sample(now sim.Time) {
 	if u.mWindows != nil {
@@ -534,8 +527,7 @@ func (u *usageSampler) sample(now sim.Time) {
 			}
 			// Field assignments instead of a composite literal: the
 			// literal would be built in a temporary and copied into the
-			// reused slot. The histogram pointer is cleared explicitly
-			// because the slot may hold a stale one from the last window.
+			// reused slot.
 			rec := &recs[len(recs)-1]
 			rec.Start = now - sim.SampleWindow
 			rec.End = now
@@ -545,15 +537,10 @@ func (u *usageSampler) sample(now sim.Time) {
 			rec.AvgUsage = o.avg
 			rec.MaxUsage = o.peak
 			rec.Limit = t.Request
-			rec.CPUHistogram = nil
-			if u.histograms {
-				rec.CPUHistogram = synthHistogram(o.avg.CPU, o.peak.CPU, t.Request.CPU, u.src)
-			}
 			if u.ap != nil {
 				// Observe may emit UPDATE_RUNNING instance events and
 				// resize this task's request; the record above already
-				// captured the pre-update limit, exactly as scalar
-				// emission did.
+				// captured the pre-update limit.
 				u.ap.Observe(now, t, o.peak)
 				u.trackSeen[t.Key] = u.trackGen
 			}
@@ -562,11 +549,7 @@ func (u *usageSampler) sample(now sim.Time) {
 			if u.mBatch != nil {
 				u.mBatch.Observe(float64(len(recs)))
 			}
-			if u.batcher != nil {
-				u.batcher.UsageBatch(recs)
-			} else {
-				trace.EmitUsageBatch(u.sink, recs)
-			}
+			u.sink.Usage(recs)
 		}
 		u.recBuf = recs[:0]
 	}
@@ -623,40 +606,15 @@ func (u *usageSampler) taskStopped(t *scheduler.Task, runStart sim.Time) {
 	u.partialCPU[t.Machine] += avg.CPU * frac
 	u.partialMem[t.Machine] += avg.Mem * frac
 	peakJitter := 1 + (t.PeakFact-1)*(0.7+0.6*u.src.Float64())
-	peak := avg.Scale(peakJitter)
-	rec := trace.UsageRecord{
+	u.partialRec[0] = trace.UsageRecord{
 		Start:    start,
 		End:      now,
 		Key:      t.Key,
 		Machine:  t.Machine,
 		Tier:     t.Job.Tier,
 		AvgUsage: avg,
-		MaxUsage: peak,
+		MaxUsage: avg.Scale(peakJitter),
 		Limit:    t.Request,
 	}
-	if u.histograms {
-		rec.CPUHistogram = synthHistogram(avg.CPU, peak.CPU, t.Request.CPU, u.src)
-	}
-	u.sink.Usage(rec)
-}
-
-// synthHistogram builds the trace's 21-bucket CPU utilization histogram
-// for one window from the window's average and peak, by sampling a
-// plausible within-window trajectory.
-func synthHistogram(avg, peak, limit float64, src *rng.Source) *stats.UsageHistogram {
-	h := &stats.UsageHistogram{}
-	if limit <= 0 {
-		limit = 1e-9
-	}
-	// 30 pseudo-samples (≈10-second resolution): uniform between trough
-	// and peak, centered on the average.
-	trough := 2*avg - peak
-	if trough < 0 {
-		trough = 0
-	}
-	for i := 0; i < 30; i++ {
-		v := trough + (peak-trough)*src.Float64()
-		h.Add(v / limit)
-	}
-	return h
+	u.sink.Usage(u.partialRec[:])
 }

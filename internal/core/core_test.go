@@ -141,30 +141,6 @@ func TestIDBaseSeparatesCells(t *testing.T) {
 	}
 }
 
-func TestHistogramsOption(t *testing.T) {
-	p := workload.Profile2019("a", 40)
-	res := Run(p, Options{Horizon: 2 * sim.Hour, Seed: 4, Histograms: true})
-	withHist := 0
-	for _, rec := range res.Trace.UsageRecords {
-		if rec.CPUHistogram != nil {
-			withHist++
-			if rec.CPUHistogram.Total() == 0 {
-				t.Fatal("empty histogram")
-			}
-		}
-	}
-	if withHist == 0 {
-		t.Fatal("no histograms recorded")
-	}
-	// Default: no histograms.
-	res2 := Run(p, Options{Horizon: 1 * sim.Hour, Seed: 4})
-	for _, rec := range res2.Trace.UsageRecords {
-		if rec.CPUHistogram != nil {
-			t.Fatal("histogram recorded despite being disabled")
-		}
-	}
-}
-
 func Test2011ProfileRuns(t *testing.T) {
 	p := workload.Profile2011(120)
 	res := Run(p, Options{Horizon: 8 * sim.Hour, Seed: 11})

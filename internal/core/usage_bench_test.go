@@ -2,8 +2,7 @@ package core
 
 // Benchmarks for the per-window usage pipeline: the sampler walk itself
 // (BenchmarkUsageSample) and the sampler feeding a realistic sink
-// pipeline — buffered fan-out into a streaming reducer
-// (BenchmarkUsagePipeline). Both run against a live cell populated by a
+// pipeline — fan-out into a streaming reducer (BenchmarkUsagePipeline). Both run against a live cell populated by a
 // real warmup simulation, so resident counts, task mix and machine
 // occupancy match what a mid-horizon 2019 cell actually looks like.
 // BENCH_PR7.json tracks their before/after numbers.
@@ -79,8 +78,8 @@ func buildUsageBenchState(tb testing.TB, machines int, warmup sim.Time) *usageBe
 	}
 }
 
-// newBenchSampler binds a fresh sampler (autopilot off, histograms off)
-// to the live cell, pointing at the given sink.
+// newBenchSampler binds a fresh sampler (autopilot off) to the live
+// cell, pointing at the given sink.
 func (st *usageBenchState) newBenchSampler(sink trace.Sink) *usageSampler {
 	return st.newBenchSamplerNoise(sink, false)
 }
@@ -88,7 +87,7 @@ func (st *usageBenchState) newBenchSampler(sink trace.Sink) *usageSampler {
 // newBenchSamplerNoise is newBenchSampler with the UsageNoiseFast table
 // toggled explicitly.
 func (st *usageBenchState) newBenchSamplerNoise(sink trace.Sink, fastNoise bool) *usageSampler {
-	s := newUsageSampler(st.p, st.cell, st.sched, nil, sink, st.src, false, fastNoise)
+	s := newUsageSampler(st.p, st.cell, st.sched, nil, sink, st.src, fastNoise)
 	s.k = st.k
 	return s
 }
@@ -157,10 +156,11 @@ func TestUsageSampleSteadyStateZeroAllocs(t *testing.T) {
 }
 
 // BenchmarkUsagePipeline measures the full usage path — sampler →
-// fan-out → buffered sink → streaming reducer — for one window over a
-// warmed-up 400-machine cell. The sub-benchmarks compare scalar
-// per-record delivery (the pre-PR path, forced through scalarShim) with
-// batched delivery; both produce identical reducer state.
+// fan-out (row counter plus streaming reducer, as core.Run wires it) —
+// for one window over a warmed-up 400-machine cell. batched delivers
+// each machine-window as one block, as production does; scalar cuts
+// every block into one-record blocks (oneRecordBlocks), the per-row
+// delivery shape. Both leave identical reducer state.
 func BenchmarkUsagePipeline(b *testing.B) {
 	horizon := 8 * sim.Hour
 	for _, mode := range []struct {
@@ -169,13 +169,9 @@ func BenchmarkUsagePipeline(b *testing.B) {
 	}{{"batched", false}, {"scalar", true}} {
 		b.Run(mode.name, func(b *testing.B) {
 			st := buildUsageBenchState(b, 400, 2*sim.Hour)
-			reducer := st.benchReducer(horizon)
-			var sink trace.Sink = trace.FanOut(
-				&trace.CountingSink{},
-				trace.NewBufferedSink(reducer, 0),
-			)
+			sink := trace.FanOut(&trace.CountingSink{}, st.benchReducer(horizon))
 			if mode.scalar {
-				sink = scalarShim{sink}
+				sink = oneRecordBlocks{sink}
 			}
 			sampler := st.newBenchSampler(sink)
 			sampler.sample(st.now) // warm buffers
@@ -187,13 +183,15 @@ func BenchmarkUsagePipeline(b *testing.B) {
 	}
 }
 
-// scalarShim hides every optional sink capability (UsageBatcher in
-// particular), forcing per-record delivery: the differential tests and
-// the scalar pipeline benchmark use it to reproduce the pre-batching
-// path through the modern code.
-type scalarShim struct{ out trace.Sink }
+// oneRecordBlocks re-sends every usage block downstream as one-record
+// blocks, in order: the per-row delivery shape.
+type oneRecordBlocks struct{ out trace.Sink }
 
-func (s scalarShim) CollectionEvent(ev trace.CollectionEvent) { s.out.CollectionEvent(ev) }
-func (s scalarShim) InstanceEvent(ev trace.InstanceEvent)     { s.out.InstanceEvent(ev) }
-func (s scalarShim) Usage(rec trace.UsageRecord)              { s.out.Usage(rec) }
-func (s scalarShim) MachineEvent(ev trace.MachineEvent)       { s.out.MachineEvent(ev) }
+func (s oneRecordBlocks) CollectionEvent(ev trace.CollectionEvent) { s.out.CollectionEvent(ev) }
+func (s oneRecordBlocks) InstanceEvent(ev trace.InstanceEvent)     { s.out.InstanceEvent(ev) }
+func (s oneRecordBlocks) MachineEvent(ev trace.MachineEvent)       { s.out.MachineEvent(ev) }
+func (s oneRecordBlocks) Usage(recs []trace.UsageRecord) {
+	for i := range recs {
+		s.out.Usage(recs[i : i+1])
+	}
+}

@@ -39,8 +39,8 @@
 //   - ID spaces: cell i offsets its collection IDs by IDBase(i), giving
 //     every cell a disjoint 2³² ID range so merged traces never collide.
 //
-// Sinks are per-cell and driven by that cell's goroutine; a sink shared
-// across specs must be wrapped in trace.NewSyncSink by the caller.
+// Sinks are per cell: each spec's ExtraSinks are driven by the one
+// goroutine simulating that cell, so no sink may be shared across specs.
 package engine
 
 import (

@@ -146,7 +146,7 @@ func TestEmptyRun(t *testing.T) {
 }
 
 // TestSpecSinksPerCell pins the per-cell sink idiom: the Spec callback
-// gives every cell its own sink (no SyncSink needed), and counts per cell
+// gives every cell its own sink, never shared across cells, and counts per cell
 // match the engine's row accounting at full parallelism — the
 // configuration the race detector exercises in CI.
 func TestSpecSinksPerCell(t *testing.T) {

@@ -13,23 +13,26 @@ import (
 	"repro/internal/trace"
 )
 
-// scalarOnly hides every optional sink capability — UsageBatcher in
-// particular — so trace.EmitUsageBatch falls back to per-record delivery
-// downstream of it. Flush passes through: buffered tails must still
-// drain, that is delivery shape, not batching.
-type scalarOnly struct{ out trace.Sink }
+// oneRecordBlocks re-sends every usage block downstream as one-record
+// blocks, in order: the per-row delivery shape. Flush passes through so
+// the export writer still drains.
+type oneRecordBlocks struct{ out trace.Sink }
 
-func (s scalarOnly) CollectionEvent(ev trace.CollectionEvent) { s.out.CollectionEvent(ev) }
-func (s scalarOnly) InstanceEvent(ev trace.InstanceEvent)     { s.out.InstanceEvent(ev) }
-func (s scalarOnly) Usage(rec trace.UsageRecord)              { s.out.Usage(rec) }
-func (s scalarOnly) MachineEvent(ev trace.MachineEvent)       { s.out.MachineEvent(ev) }
-func (s scalarOnly) Flush()                                   { trace.Flush(s.out) }
+func (s oneRecordBlocks) CollectionEvent(ev trace.CollectionEvent) { s.out.CollectionEvent(ev) }
+func (s oneRecordBlocks) InstanceEvent(ev trace.InstanceEvent)     { s.out.InstanceEvent(ev) }
+func (s oneRecordBlocks) MachineEvent(ev trace.MachineEvent)       { s.out.MachineEvent(ev) }
+func (s oneRecordBlocks) Flush()                                   { trace.Flush(s.out) }
+func (s oneRecordBlocks) Usage(recs []trace.UsageRecord) {
+	for i := range recs {
+		s.out.Usage(recs[i : i+1])
+	}
+}
 
-// runSuiteStreamingDelivery is RunSuiteStreaming with the usage delivery
-// mode forced: batched leaves the pipeline as production wires it; scalar
-// interposes scalarOnly around every reducer, export buffer and export
-// writer, so each usage row travels the pre-batching one-call-per-record
-// path end to end.
+// runSuiteStreamingDelivery is RunSuiteStreaming with every cell's rows
+// also exported to exportDir. With scalar set, oneRecordBlocks sits in
+// front of every reducer and every export writer, so each usage row
+// travels in a block of its own; otherwise blocks arrive as the sampler
+// cut them, one per machine-window.
 func runSuiteStreamingDelivery(t *testing.T, sc Scale, exportDir string, scalar bool) *Suite {
 	t.Helper()
 	specs := SuiteSpecs(sc)
@@ -40,11 +43,6 @@ func runSuiteStreamingDelivery(t *testing.T, sc Scale, exportDir string, scalar 
 
 	var exports []*trace.DirSink
 	for i := range specs {
-		if scalar {
-			specs[i].Options.ExtraSinks = append(specs[i].Options.ExtraSinks, scalarOnly{reducers[i]})
-		} else {
-			specs[i].Options.ExtraSinks = append(specs[i].Options.ExtraSinks, reducers[i])
-		}
 		specs[i].Options.NoMemTrace = true
 		shard := filepath.Join(exportDir, ShardDirName(i, specs[i].Profile.Name))
 		ds, err := trace.NewDirSink(shard, reducers[i].Meta())
@@ -52,13 +50,11 @@ func runSuiteStreamingDelivery(t *testing.T, sc Scale, exportDir string, scalar 
 			t.Fatal(err)
 		}
 		exports = append(exports, ds)
-		var export trace.Sink
+		var reducer, export trace.Sink = reducers[i], ds
 		if scalar {
-			export = scalarOnly{trace.NewBufferedSink(scalarOnly{ds}, 0)}
-		} else {
-			export = trace.NewBufferedSink(ds, 0)
+			reducer, export = oneRecordBlocks{reducer}, oneRecordBlocks{export}
 		}
-		specs[i].Options.ExtraSinks = append(specs[i].Options.ExtraSinks, export)
+		specs[i].Options.ExtraSinks = append(specs[i].Options.ExtraSinks, reducer, export)
 	}
 
 	s := &Suite{Scale: sc, cells: reducers}
@@ -78,11 +74,12 @@ func runSuiteStreamingDelivery(t *testing.T, sc Scale, exportDir string, scalar 
 	return s
 }
 
-// TestBatchedScalarDeliveryByteIdentical is the batching acceptance gate:
-// at the same seed, batched and scalar usage delivery must produce
+// TestBatchedScalarDeliveryByteIdentical pins chunking invariance: at
+// the same seed, usage rows delivered in the sampler's machine-window
+// blocks and the same rows re-sent as one-record blocks must produce
 // byte-identical reports and byte-identical CSV export shards, at
-// parallelism 1 and 8. Any batch that splits, reorders or drops a record
-// relative to scalar delivery shows up here as a byte diff.
+// parallelism 1 and 8. A sink whose result depends on where a block
+// boundary falls shows up here as a byte diff.
 func TestBatchedScalarDeliveryByteIdentical(t *testing.T) {
 	sc := Scale{Name: "tiny", Machines2011: 40, Machines2019: 30,
 		Horizon: 3 * sim.Hour, Warmup: sim.Hour, Seed: 11}
@@ -139,7 +136,7 @@ func compareShardBytes(t *testing.T, wantDir, gotDir string) {
 			return err
 		}
 		if !bytes.Equal(want, got) {
-			t.Fatalf("export shard file %s differs between batched and scalar delivery", rel)
+			t.Fatalf("export shard file %s differs between %s and %s", rel, wantDir, gotDir)
 		}
 		n++
 		return nil
@@ -150,4 +147,22 @@ func compareShardBytes(t *testing.T, wantDir, gotDir string) {
 	if n == 0 {
 		t.Fatal("no export files compared")
 	}
+	if got := countFiles(t, gotDir); got != n {
+		t.Fatalf("%s holds %d files, want %d", gotDir, got, n)
+	}
+}
+
+func countFiles(t *testing.T, dir string) int {
+	t.Helper()
+	n := 0
+	err := filepath.Walk(dir, func(_ string, info os.FileInfo, err error) error {
+		if err == nil && !info.IsDir() {
+			n++
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
 }

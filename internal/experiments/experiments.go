@@ -196,9 +196,7 @@ func runSuite(sc Scale, stream bool, opts StreamingOptions) (*Suite, error) {
 				return nil, err
 			}
 			exports = append(exports, ds)
-			// core.Run flushes the pipeline at end of simulation, which
-			// drains this buffer into the shard before Close below.
-			o.ExtraSinks = append(o.ExtraSinks, trace.NewBufferedSink(ds, opts.ExportBatch))
+			o.ExtraSinks = append(o.ExtraSinks, ds)
 		}
 	}
 

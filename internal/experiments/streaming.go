@@ -12,12 +12,9 @@ import (
 type StreamingOptions struct {
 	// ExportDir, when non-empty, additionally writes each cell's trace as
 	// sharded CSV while simulating: one subdirectory per cell (named
-	// cell-<index>-<name>), each in the WriteDir layout, fed through a
-	// BufferedSink so the per-row cost is amortized.
+	// cell-<index>-<name>), each written by its own trace.DirSink in the
+	// WriteDir layout, byte-identical to WriteDir of the retained trace.
 	ExportDir string
-	// ExportBatch is the export buffering batch size; <= 0 means
-	// trace.DefaultBatchSize.
-	ExportBatch int
 }
 
 // NewCellReducerFor builds the streaming reducer matching one cell spec:

@@ -87,17 +87,22 @@ func TestStreamingReportDeterministicAcrossParallelism(t *testing.T) {
 // sink pipeline: a streaming run exports per-cell CSV shards while
 // simulating, and each shard must read back exactly the rows a retained
 // run produced — including the tail rows only a correct Flush ordering
-// delivers.
+// delivers — and hold, file for file and byte for byte (meta.json
+// included), what trace.WriteDir writes for the retained trace.
 func TestStreamingExportShards(t *testing.T) {
 	sc := streamScale()
-	dir := t.TempDir()
-	if _, err := RunSuiteStreaming(sc, StreamingOptions{ExportDir: dir, ExportBatch: 64}); err != nil {
+	dir, postDir := t.TempDir(), t.TempDir()
+	if _, err := RunSuiteStreaming(sc, StreamingOptions{ExportDir: dir}); err != nil {
 		t.Fatal(err)
 	}
 	retained := tinySuiteAt(t, sc)
 	traces := append([]*trace.MemTrace{retained.T2011}, retained.T2019...)
 	for i, want := range traces {
-		shard := filepath.Join(dir, ShardDirName(i, want.Meta.Cell))
+		name := ShardDirName(i, want.Meta.Cell)
+		if err := trace.WriteDir(want, filepath.Join(postDir, name)); err != nil {
+			t.Fatal(err)
+		}
+		shard := filepath.Join(dir, name)
 		got, err := trace.ReadDir(shard)
 		if err != nil {
 			t.Fatalf("shard %d: %v", i, err)
@@ -125,6 +130,7 @@ func TestStreamingExportShards(t *testing.T) {
 	if len(entries) != 9 {
 		t.Fatalf("expected 9 shards, found %d", len(entries))
 	}
+	compareShardBytes(t, postDir, dir)
 }
 
 // tinySuiteAt caches retained suites per scale so the three tests above

@@ -128,12 +128,6 @@ func (s *Source) Uint64n(n uint64) uint64 {
 	}
 }
 
-// Int63 returns a non-negative int64, mirroring math/rand's contract so the
-// Source can back code written against that interface shape.
-func (s *Source) Int63() int64 {
-	return int64(s.Uint64() >> 1)
-}
-
 // NormFloat64 returns a standard normal variate via the polar Box–Muller
 // (Marsaglia) method. The spare variate is cached.
 func (s *Source) NormFloat64() float64 {

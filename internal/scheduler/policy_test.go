@@ -46,6 +46,32 @@ func TestPolicyNameRoundTrip(t *testing.T) {
 	}
 }
 
+// FuzzParsePolicy feeds arbitrary strings to ParsePolicy, the grammar
+// behind -policy flags and sweep policy clauses. No input may panic, and
+// an accepted name must be the canonical name of a registered policy, so
+// it round-trips through String and resolves in the registry. The seeds
+// are every canonical name plus near misses.
+func FuzzParsePolicy(f *testing.F) {
+	for _, name := range PolicyNames() {
+		f.Add(name)
+	}
+	for _, s := range []string{"", "bestfit", "BEST-FIT", " best-fit", "best-fit\n", "PlacementPolicy(1)"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, name string) {
+		p, err := ParsePolicy(name)
+		if err != nil {
+			return
+		}
+		if got := p.String(); got != name {
+			t.Fatalf("ParsePolicy(%q) = %d, whose canonical name is %q", name, int(p), got)
+		}
+		if kind := PolicyFor(p).Kind(); kind != p {
+			t.Fatalf("ParsePolicy(%q) resolved to registry entry %d", name, int(kind))
+		}
+	})
+}
+
 // TestParsePolicyUnknown checks the unknown-name error names the typo and
 // lists every valid policy, so a misconfigured CLI flag or sweep clause
 // is self-explaining.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/sim"
-	"repro/internal/stats"
 )
 
 // EventType is a collection/instance life-cycle transition (§5.2/§5.3).
@@ -129,7 +128,9 @@ type InstanceEvent struct {
 }
 
 // UsageRecord is one row of the instance_usage table: one instance's
-// resource consumption within a 5-minute sampling window.
+// resource consumption within a 5-minute sampling window. It holds no
+// pointer, so retained usage tables cost the garbage collector nothing
+// to scan.
 type UsageRecord struct {
 	Start   sim.Time
 	End     sim.Time
@@ -140,10 +141,6 @@ type UsageRecord struct {
 	AvgUsage Resources // mean usage over the window
 	MaxUsage Resources // peak usage over the window
 	Limit    Resources // limit in force during the window
-
-	// CPUHistogram is the 21-bucket histogram of CPU utilization samples
-	// within the window (§3). Nil when histogram collection is disabled.
-	CPUHistogram *stats.UsageHistogram
 }
 
 // MachineEventType is the machine_events table's event kind.
@@ -179,13 +176,17 @@ type MachineEvent struct {
 	Platform string // hardware platform identifier
 }
 
-// Sink receives trace rows as the simulator emits them. Implementations
-// must not retain argument pointers beyond the call unless documented
-// (MemTrace copies what it needs).
+// Sink receives trace rows as the simulator emits them, one method per
+// table. Usage rows, by far the largest table, arrive in blocks: the
+// sampler hands over one machine-window's records per call. A block is
+// ordered, and how a stream is cut into blocks must not change what a
+// sink computes or writes. The callee must neither retain nor modify the
+// slice after returning, since emitters reuse its backing array for the
+// next block; sinks that keep rows copy them (as MemTrace does).
 type Sink interface {
 	CollectionEvent(ev CollectionEvent)
 	InstanceEvent(ev InstanceEvent)
-	Usage(rec UsageRecord)
+	Usage(recs []UsageRecord)
 	MachineEvent(ev MachineEvent)
 }
 
@@ -206,18 +207,10 @@ func (m MultiSink) InstanceEvent(ev InstanceEvent) {
 	}
 }
 
-// Usage forwards to all children.
-func (m MultiSink) Usage(rec UsageRecord) {
+// Usage forwards the block to all children.
+func (m MultiSink) Usage(recs []UsageRecord) {
 	for _, s := range m {
-		s.Usage(rec)
-	}
-}
-
-// UsageBatch forwards the block to all children: one call for children
-// that batch, record by record for the rest.
-func (m MultiSink) UsageBatch(recs []UsageRecord) {
-	for _, s := range m {
-		EmitUsageBatch(s, recs)
+		s.Usage(recs)
 	}
 }
 
@@ -237,11 +230,8 @@ func (NopSink) CollectionEvent(CollectionEvent) {}
 // InstanceEvent discards the row.
 func (NopSink) InstanceEvent(InstanceEvent) {}
 
-// Usage discards the row.
-func (NopSink) Usage(UsageRecord) {}
-
-// UsageBatch discards the block.
-func (NopSink) UsageBatch([]UsageRecord) {}
+// Usage discards the block.
+func (NopSink) Usage([]UsageRecord) {}
 
 // MachineEvent discards the row.
 func (NopSink) MachineEvent(MachineEvent) {}

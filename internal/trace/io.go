@@ -38,9 +38,7 @@ func WriteDir(t *MemTrace, dir string) error {
 	for _, ev := range t.InstanceEvents {
 		s.InstanceEvent(ev)
 	}
-	for _, rec := range t.UsageRecords {
-		s.Usage(rec)
-	}
+	s.Usage(t.UsageRecords)
 	for _, ev := range t.MachineEvents {
 		s.MachineEvent(ev)
 	}
@@ -131,10 +129,12 @@ type tableWriter struct {
 
 // DirSink streams trace rows to the same on-disk CSV layout WriteDir
 // produces — one file per table plus meta.json — as the simulation emits
-// them, so writing a trace needs no in-memory retention at all. Wrap it
-// in a BufferedSink to amortize per-row dispatch on hot paths, and in a
-// SyncSink if several concurrently simulated cells share one sink
-// (per-cell shard directories avoid that need entirely).
+// them, so writing a trace needs no in-memory retention at all. Each
+// table is written through its own 1 MiB buffer into its own file, so
+// row order across tables never matters; Flush (or trace.Flush on the
+// enclosing pipeline) pushes the buffered tails to disk. A DirSink
+// belongs to one cell: concurrently simulated cells each write their own
+// shard directory.
 //
 // The Sink interface carries no error returns, so write errors are
 // sticky: the first one is retained, subsequent rows are dropped, and
@@ -209,15 +209,8 @@ func (s *DirSink) CollectionEvent(ev CollectionEvent) { s.write(tabCollection, c
 // InstanceEvent writes the row.
 func (s *DirSink) InstanceEvent(ev InstanceEvent) { s.write(tabInstance, instanceEventRow(ev)) }
 
-// Usage writes the row.
-func (s *DirSink) Usage(rec UsageRecord) { s.write(tabUsage, usageRow(rec)) }
-
-// UsageBatch writes the block in order through the codec path, checking
-// the sticky error once instead of per row.
-func (s *DirSink) UsageBatch(recs []UsageRecord) {
-	if s.err != nil || s.closed {
-		return
-	}
+// Usage writes the block's rows in order.
+func (s *DirSink) Usage(recs []UsageRecord) {
 	for i := range recs {
 		s.write(tabUsage, usageRow(recs[i]))
 	}
@@ -276,9 +269,7 @@ func (s *DirSink) closeFiles() {
 // arbitrarily large allocation.
 const MaxDuration = 365 * sim.Day
 
-// ReadDir loads a trace previously written by WriteDir. CPU histograms are
-// not round-tripped (the CSV schema, like the 2011 trace, omits them).
-// A meta.json whose Duration is negative or above MaxDuration is an error.
+// ReadDir loads a trace previously written by WriteDir. A meta.json whose Duration is negative or above MaxDuration is an error.
 func ReadDir(dir string) (*MemTrace, error) {
 	metaPath := filepath.Join(dir, metaFile)
 	metaBytes, err := os.ReadFile(metaPath)
@@ -534,7 +525,7 @@ func (t *MemTrace) readUsage(rec []string) error {
 	if p.err != nil {
 		return p.err
 	}
-	t.Usage(u)
+	t.UsageRecords = append(t.UsageRecords, u)
 	return nil
 }
 

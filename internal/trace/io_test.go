@@ -105,13 +105,19 @@ func TestReadDirCorruptMeta(t *testing.T) {
 	}
 }
 
+// corruptRowCSV and badEnumCSV are collection_events tables ReadDir must
+// reject: a non-numeric time, and an unknown collection type.
+const (
+	corruptRowCSV = "time,collection_id,type,collection_type,priority,tier,user,parent_collection_id,alloc_collection_id,scheduler,vertical_scaling\nnot-a-number,1,SUBMIT,job,0,free,u,0,0,default,none\n"
+	badEnumCSV    = "time,collection_id,type,collection_type,priority,tier,user,parent_collection_id,alloc_collection_id,scheduler,vertical_scaling\n1,1,SUBMIT,weird,0,free,u,0,0,default,none\n"
+)
+
 func TestReadDirCorruptRow(t *testing.T) {
 	dir := t.TempDir()
 	if err := WriteDir(newTestTrace(), dir); err != nil {
 		t.Fatal(err)
 	}
-	bad := "time,collection_id,type,collection_type,priority,tier,user,parent_collection_id,alloc_collection_id,scheduler,vertical_scaling\nnot-a-number,1,SUBMIT,job,0,free,u,0,0,default,none\n"
-	if err := os.WriteFile(filepath.Join(dir, collectionEventsFile), []byte(bad), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, collectionEventsFile), []byte(corruptRowCSV), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ReadDir(dir); err == nil {
@@ -124,8 +130,7 @@ func TestReadDirBadEnums(t *testing.T) {
 	if err := WriteDir(newTestTrace(), dir); err != nil {
 		t.Fatal(err)
 	}
-	bad := "time,collection_id,type,collection_type,priority,tier,user,parent_collection_id,alloc_collection_id,scheduler,vertical_scaling\n1,1,SUBMIT,weird,0,free,u,0,0,default,none\n"
-	if err := os.WriteFile(filepath.Join(dir, collectionEventsFile), []byte(bad), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, collectionEventsFile), []byte(badEnumCSV), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ReadDir(dir); err == nil {
@@ -155,12 +160,13 @@ func TestParseHelpers(t *testing.T) {
 }
 
 // TestDirSinkStreamsIdenticalToWriteDir pins the shared-encoder property:
-// streaming rows through a DirSink (here behind a BufferedSink, as the
-// suite export wires it) produces byte-identical files to post-hoc
-// WriteDir of the same trace, and a trailing Flush delivers the buffered
-// tail before Close.
+// streaming rows through a DirSink produces byte-identical files to
+// post-hoc WriteDir of the same trace, however the usage table is cut
+// into blocks (WriteDir sends it as one), and the pipeline's Flush
+// delivers every buffered tail before Close.
 func TestDirSinkStreamsIdenticalToWriteDir(t *testing.T) {
 	tr := newTestTrace()
+	tr.Usage(usageBlock(1, 4)) // more usage rows to cut into blocks
 	postDir, streamDir := t.TempDir(), t.TempDir()
 	if err := WriteDir(tr, postDir); err != nil {
 		t.Fatal(err)
@@ -169,22 +175,21 @@ func TestDirSinkStreamsIdenticalToWriteDir(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Large batch: nothing reaches the files until the pipeline flushes,
-	// which is exactly the tail a missing Flush would lose.
-	bs := NewBufferedSink(ds, 1<<20)
+	s := FanOut(&CountingSink{}, ds)
 	for _, ev := range tr.MachineEvents {
-		bs.MachineEvent(ev)
+		s.MachineEvent(ev)
 	}
 	for _, ev := range tr.CollectionEvents {
-		bs.CollectionEvent(ev)
+		s.CollectionEvent(ev)
 	}
 	for _, ev := range tr.InstanceEvents {
-		bs.InstanceEvent(ev)
+		s.InstanceEvent(ev)
 	}
-	for _, rec := range tr.UsageRecords {
-		bs.Usage(rec)
+	for i := range tr.UsageRecords {
+		s.Usage(tr.UsageRecords[i : i+1])
+		s.Usage(nil)
 	}
-	Flush(bs) // drains the buffer into the DirSink and flushes it
+	Flush(s)
 	if err := ds.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -53,13 +53,8 @@ func (t *MemTrace) InstanceEvent(ev InstanceEvent) {
 	t.InstanceEvents = append(t.InstanceEvents, ev)
 }
 
-// Usage stores the row.
-func (t *MemTrace) Usage(rec UsageRecord) {
-	t.UsageRecords = append(t.UsageRecords, rec)
-}
-
-// UsageBatch stores a whole block of rows with one append.
-func (t *MemTrace) UsageBatch(recs []UsageRecord) {
+// Usage stores a copy of the block's rows with one append.
+func (t *MemTrace) Usage(recs []UsageRecord) {
 	t.UsageRecords = append(t.UsageRecords, recs...)
 }
 
