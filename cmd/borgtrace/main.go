@@ -11,19 +11,18 @@
 // machines, hours, seed) tuple is byte-stable; traces are not promised
 // stable across versions of the simulator.
 //
-// By default the trace is retained in memory and written at the end
-// (which also enables the §9 invariant validator). With -stream the rows
-// are written to disk while the simulation runs, through a buffered
-// trace.DirSink, and nothing is retained: memory stays bounded no matter
-// how long the horizon, which is the mode for generating month-scale
-// traces. The two modes produce byte-identical CSV for the same seed;
-// -validate is unavailable under -stream because the validator needs the
-// retained trace.
+// Rows are written while the simulation runs, through a buffered
+// trace.DirSink, and no trace is retained in memory. With -validate (the
+// default) a trace.Validator checks the §9 invariants on the same
+// stream. The validator keeps one summed usage vector per occupied
+// machine-window, about 40 B each, so its memory grows with machines ×
+// hours; a month-scale run whose memory must stay flat passes
+// -validate=false.
 //
 // Usage:
 //
 //	borgtrace -era 2019 -cell b -machines 300 -hours 24 -seed 7 -out ./trace-b
-//	borgtrace -era 2019 -cell b -machines 300 -hours 720 -seed 7 -stream -out ./trace-b
+//	borgtrace -era 2019 -cell b -machines 300 -hours 720 -seed 7 -validate=false -out ./trace-b
 package main
 
 import (
@@ -45,8 +44,7 @@ func main() {
 	hours := flag.Float64("hours", 24, "simulated duration in hours")
 	seed := flag.Uint64("seed", 1, "root random seed")
 	out := flag.String("out", "trace-out", "output directory")
-	stream := flag.Bool("stream", false, "write CSV while simulating (NoMemTrace: bounded memory at any horizon; disables -validate)")
-	validate := flag.Bool("validate", true, "run the §9 invariant validator before writing (retained mode only)")
+	validate := flag.Bool("validate", true, "check the §9 invariants while simulating (memory grows with machines × hours)")
 	flag.Parse()
 
 	var profile *workload.CellProfile
@@ -58,53 +56,50 @@ func main() {
 	default:
 		log.Fatalf("unknown era %q", *era)
 	}
-	horizon := sim.FromHours(*hours)
-
-	if *stream {
-		meta := trace.Meta{
-			Era: profile.Era, Cell: profile.Name, Duration: horizon,
-			Machines: profile.Machines, Seed: *seed,
-		}
-		ds, err := trace.NewDirSink(*out, meta)
-		if err != nil {
-			log.Fatal(err)
-		}
-		res := core.Run(profile, core.Options{
-			Horizon:    horizon,
-			Seed:       *seed,
-			NoMemTrace: true,
-			ExtraSinks: []trace.Sink{ds},
-		})
-		if err := ds.Close(); err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("simulated cell %s: %d rows streamed", profile.Name, res.Rows.Total())
-		log.Printf("scheduler: %+v", res.Sched)
-		if *validate {
-			log.Printf("note: -validate is skipped under -stream (no retained trace)")
-		}
-		log.Printf("wrote trace to %s (streaming)", *out)
-		return
+	if *hours <= 0 {
+		log.Fatalf("-hours must be positive, got %v", *hours)
 	}
-
-	res := core.Run(profile, core.Options{
-		Horizon: horizon,
-		Seed:    *seed,
-	})
-	log.Printf("simulated cell %s: %s", profile.Name, res.Trace.Counts())
-	log.Printf("scheduler: %+v", res.Sched)
-
-	if *validate {
-		violations := trace.Validate(res.Trace, trace.DefaultValidateOptions())
-		if len(violations) > 0 {
-			log.Printf("WARNING: %d invariant violations (first: %v)", len(violations), violations[0])
-		} else {
-			log.Printf("validator: all invariants hold")
-		}
-	}
-
-	if err := trace.WriteDir(res.Trace, *out); err != nil {
+	if err := run(log.Default(), profile, sim.FromHours(*hours), *seed, *out, *validate); err != nil {
 		log.Fatal(err)
 	}
-	log.Printf("wrote trace to %s", *out)
+}
+
+// run simulates profile for horizon at seed, writing the trace into dir
+// as it is emitted and, when validate is set, checking the §9 invariants
+// on the same stream. Violations are logged, not returned: the trace is
+// written either way.
+func run(logger *log.Logger, profile *workload.CellProfile, horizon sim.Time, seed uint64, dir string, validate bool) error {
+	ds, err := trace.NewDirSink(dir, trace.Meta{
+		Era: profile.Era, Cell: profile.Name, Duration: horizon,
+		Machines: profile.Machines, Seed: seed,
+	})
+	if err != nil {
+		return err
+	}
+	sinks := []trace.Sink{ds}
+	var v *trace.Validator
+	if validate {
+		v = trace.NewValidator(trace.DefaultValidateOptions())
+		sinks = append(sinks, v)
+	}
+	res := core.Run(profile, core.Options{
+		Horizon:    horizon,
+		Seed:       seed,
+		NoMemTrace: true,
+		ExtraSinks: sinks,
+	})
+	if err := ds.Close(); err != nil {
+		return err
+	}
+	logger.Printf("simulated cell %s: %d rows (%+v)", profile.Name, res.Rows.Total(), res.Rows)
+	logger.Printf("scheduler: %+v", res.Sched)
+	if v != nil {
+		if violations := v.Violations(); len(violations) > 0 {
+			logger.Printf("WARNING: %d invariant violations (first: %v)", len(violations), violations[0])
+		} else {
+			logger.Printf("validator: all invariants hold")
+		}
+	}
+	logger.Printf("wrote trace to %s", dir)
+	return nil
 }

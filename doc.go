@@ -32,8 +32,11 @@
 //     pipeline: rows flow through trace.Sink, one method per table, with
 //     usage rows delivered in blocks (see "Usage pipeline" below), into
 //     composable per-cell sinks (FanOut, CountingSink online reduction,
-//     DirSink CSV export). Full in-memory retention (MemTrace) is just
-//     one sink and can be switched off per run.
+//     DirSink CSV export, the §9 invariant Validator). Full in-memory
+//     retention (MemTrace) is just one sink, a plain row store that can
+//     be switched off per run; every post-hoc consumer (WriteDir,
+//     Validate, streaming.Replay) replays it into a sink with
+//     MemTrace.Replay.
 //   - internal/core — the single-cell façade: wires one cell's
 //     components and sink pipeline and runs it to the horizon.
 //   - internal/engine — multi-cell orchestration: engine.Run(Plan) is
@@ -119,6 +122,16 @@
 // cells, live vs replayed reducer, streamed report vs retained report),
 // a benchmark-regression gate against the checked-in baselines, and a
 // peak-HeapAlloc ceiling on the LargeScale streaming suite.
+//
+// The §9 invariant validator follows the same shape: trace.Validator is
+// a Sink that checks each row as it arrives and the whole-stream
+// invariants (orphan instances, parent kills, machine-window capacity)
+// in Violations, and trace.Validate is a replay into it. cmd/borgtrace
+// attaches one live beside its DirSink, so a trace is validated while
+// it is written, without being retained. A test-only walker oracle
+// pins it: both report the same violations on the nine suite cells,
+// on corrupted copies of them, on hand-built fixtures and on every
+// trace FuzzReadDir reads back.
 //
 // # Usage pipeline
 //

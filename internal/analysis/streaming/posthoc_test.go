@@ -13,10 +13,26 @@ import (
 	"repro/internal/trace"
 )
 
+// machineCapacities returns each machine's final capacity and platform,
+// as established by ADD/UPDATE machine events, excluding removed
+// machines.
+func machineCapacities(tr *trace.MemTrace) map[trace.MachineID]trace.MachineEvent {
+	m := make(map[trace.MachineID]trace.MachineEvent)
+	for _, ev := range tr.MachineEvents {
+		switch ev.Type {
+		case trace.MachineAdd, trace.MachineUpdate:
+			m[ev.Machine] = ev
+		case trace.MachineRemove:
+			delete(m, ev.Machine)
+		}
+	}
+	return m
+}
+
 // MachineShapes returns the distinct machine shapes and their counts,
 // sorted by population descending (Figure 1's circle areas).
 func MachineShapes(tr *trace.MemTrace) []analysis.ShapePoint {
-	return analysis.ShapesOf(tr.MachineCapacities())
+	return analysis.ShapesOf(machineCapacities(tr))
 }
 
 // inAllocJobs returns the set of collections that run inside alloc sets.
@@ -60,7 +76,7 @@ func series(tr *trace.MemTrace, allocation bool) analysis.TierSeries {
 			a.ObserveAt(rec.Start, rec.Tier, rec.AvgUsage)
 		}
 	}
-	return a.Finish(analysis.TotalCapacity(tr.MachineCapacities()))
+	return a.Finish(analysis.TotalCapacity(machineCapacities(tr)))
 }
 
 // AverageUsageByTier computes Figure 3's per-cell bars: the mean over
@@ -84,24 +100,26 @@ func MachineUtilization(tr *trace.MemTrace, at sim.Time) (cpu, mem []float64) {
 			usage[rec.Machine] = usage[rec.Machine].Add(rec.AvgUsage)
 		}
 	}
-	return analysis.UtilizationSamples(tr.MachineCapacities(), usage)
+	return analysis.UtilizationSamples(machineCapacities(tr), usage)
 }
 
 // Transitions counts consecutive event-type pairs across all collections
 // and instances of a trace (Figure 7), sorted by count descending.
 func Transitions(tr *trace.MemTrace) []analysis.Transition {
 	counts := make(analysis.TransitionCounts)
-	for _, id := range tr.Collections() {
-		evs := tr.EventsOf(id)
-		for i := 1; i < len(evs); i++ {
-			counts.Observe(evs[i-1].Type, evs[i].Type)
+	prevColl := make(map[trace.CollectionID]trace.EventType)
+	for _, ev := range tr.CollectionEvents {
+		if prev, ok := prevColl[ev.Collection]; ok {
+			counts.Observe(prev, ev.Type)
 		}
+		prevColl[ev.Collection] = ev.Type
 	}
-	for _, key := range tr.Instances() {
-		evs := tr.InstanceEventsOf(key)
-		for i := 1; i < len(evs); i++ {
-			counts.Observe(evs[i-1].Type, evs[i].Type)
+	prevInst := make(map[trace.InstanceKey]trace.EventType)
+	for _, ev := range tr.InstanceEvents {
+		if prev, ok := prevInst[ev.Key]; ok {
+			counts.Observe(prev, ev.Type)
 		}
+		prevInst[ev.Key] = ev.Type
 	}
 	return analysis.TransitionsFromCounts(counts)
 }
@@ -109,7 +127,7 @@ func Transitions(tr *trace.MemTrace) []analysis.Transition {
 // InventoryOf builds one trace's Table 1 inventory.
 func InventoryOf(tr *trace.MemTrace) analysis.Inventory {
 	inv := analysis.NewInventory()
-	for _, ev := range tr.MachineCapacities() {
+	for _, ev := range machineCapacities(tr) {
 		inv.ObserveMachine(ev)
 	}
 	for _, info := range tr.CollectionInfos() {
@@ -226,8 +244,12 @@ func DelaysOf(tr *trace.MemTrace) analysis.DelaySamples {
 func TasksPerJobOf(tr *trace.MemTrace) map[trace.Tier][]float64 {
 	out := make(map[trace.Tier][]float64)
 	counts := make(map[trace.CollectionID]int)
-	for _, key := range tr.Instances() {
-		counts[key.Collection]++
+	seen := make(map[trace.InstanceKey]bool)
+	for _, ev := range tr.InstanceEvents {
+		if !seen[ev.Key] {
+			seen[ev.Key] = true
+			counts[ev.Key.Collection]++
+		}
 	}
 	for _, info := range tr.CollectionInfos() {
 		if info.CollectionType != trace.CollectionJob {

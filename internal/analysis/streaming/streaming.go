@@ -481,24 +481,16 @@ func (r *CellReducer) Counts() string {
 		len(r.colls), len(r.insts), len(r.caps))
 }
 
-// Replay feeds a retained trace through a fresh reducer, table by table
-// in emission order (machines, collections, instances, usage). Feeding
-// collection events before the rows that reference them preserves the
-// same first-event-precedes-references invariant the live stream
-// provides, so a replayed reducer is bit-identical to one that consumed
-// the stream live — the property TestReplayMatchesLive pins. Replay is
-// how tools analyse a trace read back from disk.
+// Replay feeds a retained trace through a fresh reducer with
+// (*trace.MemTrace).Replay, table by table in emission order (machines,
+// collections, instances, usage). Feeding collection events before the
+// rows that reference them preserves the same
+// first-event-precedes-references invariant the live stream provides,
+// so a replayed reducer is bit-identical to one that consumed the stream
+// live — the property TestReplayMatchesLive pins. Replay is how tools
+// analyse a trace read back from disk.
 func Replay(tr *trace.MemTrace, cfg Config) *CellReducer {
 	r := NewCellReducer(cfg)
-	for _, ev := range tr.MachineEvents {
-		r.MachineEvent(ev)
-	}
-	for _, ev := range tr.CollectionEvents {
-		r.CollectionEvent(ev)
-	}
-	for _, ev := range tr.InstanceEvents {
-		r.InstanceEvent(ev)
-	}
-	r.Usage(tr.UsageRecords)
+	tr.Replay(r)
 	return r
 }

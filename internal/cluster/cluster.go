@@ -451,22 +451,3 @@ func BuildCell(name string, n int, shapes []Shape, src *rng.Source) *Cell {
 	}
 	return c
 }
-
-// ShapeStats counts machines per distinct (CPU, Mem) shape; used by the
-// Figure 1 analysis and Table 1's "machine shapes" row.
-func (c *Cell) ShapeStats() map[trace.Resources]int {
-	out := make(map[trace.Resources]int)
-	for _, id := range c.ids {
-		out[c.machines[id].Capacity]++
-	}
-	return out
-}
-
-// Platforms returns the set of distinct hardware platforms in the cell.
-func (c *Cell) Platforms() map[string]int {
-	out := make(map[string]int)
-	for _, id := range c.ids {
-		out[c.machines[id].Platform]++
-	}
-	return out
-}

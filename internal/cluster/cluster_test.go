@@ -177,21 +177,26 @@ func TestBuildCellShapes(t *testing.T) {
 	if c.NumMachines() != 2000 {
 		t.Fatalf("machines %d", c.NumMachines())
 	}
-	shapes := c.ShapeStats()
-	if len(shapes) < 15 {
-		t.Fatalf("only %d distinct shapes in a 2000-machine 2019 cell", len(shapes))
+	// distinct counts the cell's distinct machine shapes and platforms.
+	distinct := func(c *Cell) (shapes, platforms int) {
+		s, p := make(map[trace.Resources]bool), make(map[string]bool)
+		c.Machines(func(m *Machine) { s[m.Capacity], p[m.Platform] = true, true })
+		return len(s), len(p)
 	}
-	platforms := c.Platforms()
-	if len(platforms) != 7 {
-		t.Fatalf("platforms %d, want 7", len(platforms))
+	shapes, platforms := distinct(c)
+	if shapes < 15 {
+		t.Fatalf("only %d distinct shapes in a 2000-machine 2019 cell", shapes)
+	}
+	if platforms != 7 {
+		t.Fatalf("platforms %d, want 7", platforms)
 	}
 
-	c11 := BuildCell("2011", 2000, Shapes2011, src)
-	if got := len(c11.Platforms()); got != 3 {
-		t.Fatalf("2011 platforms %d, want 3", got)
+	shapes, platforms = distinct(BuildCell("2011", 2000, Shapes2011, src))
+	if platforms != 3 {
+		t.Fatalf("2011 platforms %d, want 3", platforms)
 	}
-	if got := len(c11.ShapeStats()); got > 10 {
-		t.Fatalf("2011 shapes %d, want <= 10", got)
+	if shapes > 10 {
+		t.Fatalf("2011 shapes %d, want <= 10", shapes)
 	}
 }
 

@@ -3,14 +3,17 @@
 // and the calibrated workload generator into a discrete-event simulation
 // of one Borg cell, and emits a 2019-schema trace while it runs.
 //
-// Typical use:
+// Typical use, validating the trace while it is simulated:
 //
 //	profile := workload.Profile2019("a", 600)
-//	res := core.Run(profile, core.Options{Horizon: 48 * sim.Hour, Seed: 1})
-//	violations := trace.Validate(res.Trace, trace.DefaultValidateOptions())
+//	v := trace.NewValidator(trace.DefaultValidateOptions())
+//	res := core.Run(profile, core.Options{Horizon: 48 * sim.Hour, Seed: 1, ExtraSinks: []trace.Sink{v}})
+//	violations := v.Violations()
 //
-// The resulting MemTrace feeds the analysis package, which regenerates
-// every table and figure of the paper.
+// The retained res.Trace (nil under NoMemTrace) can be written with
+// trace.WriteDir or replayed into any other sink, such as the analysis
+// package's streaming reducer, which regenerates every table and figure
+// of the paper.
 package core
 
 import (

@@ -94,10 +94,9 @@ func TestUtilizationInSaneBand(t *testing.T) {
 	tr := res.Trace
 	// Average CPU usage as a fraction of capacity over the second half
 	// of the run (post-warmup) should be meaningful but below 1.
-	caps := tr.MachineCapacities()
 	var capCPU float64
-	for _, ev := range caps {
-		capCPU += ev.Capacity.CPU
+	for _, ev := range tr.MachineEvents {
+		capCPU += ev.Capacity.CPU // the simulator only adds machines
 	}
 	half := tr.Meta.Duration / 2
 	var usageHours float64
@@ -129,14 +128,14 @@ func TestIDBaseSeparatesCells(t *testing.T) {
 	p := workload.Profile2019("a", 60)
 	a := Run(p, Options{Horizon: 2 * sim.Hour, Seed: 1, IDBase: 0})
 	b := Run(p, Options{Horizon: 2 * sim.Hour, Seed: 2, IDBase: 1 << 32})
-	for _, id := range b.Trace.Collections() {
-		if id <= 1<<32 {
-			t.Fatalf("collection id %d below IDBase", id)
+	for _, ev := range b.Trace.CollectionEvents {
+		if ev.Collection <= 1<<32 {
+			t.Fatalf("collection id %d below IDBase", ev.Collection)
 		}
 	}
-	for _, id := range a.Trace.Collections() {
-		if id >= 1<<32 {
-			t.Fatalf("collection id %d above expected range", id)
+	for _, ev := range a.Trace.CollectionEvents {
+		if ev.Collection >= 1<<32 {
+			t.Fatalf("collection id %d above expected range", ev.Collection)
 		}
 	}
 }

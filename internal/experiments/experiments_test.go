@@ -50,11 +50,11 @@ func TestCellsHaveDisjointIDs(t *testing.T) {
 	s := tinySuite(t)
 	seen := map[trace.CollectionID]bool{}
 	for _, tr := range append([]*trace.MemTrace{s.T2011}, s.T2019...) {
-		for _, id := range tr.Collections() {
-			if seen[id] {
-				t.Fatalf("collection id %d appears in two cells", id)
+		for _, info := range tr.CollectionInfos() {
+			if seen[info.ID] {
+				t.Fatalf("collection id %d appears in two cells", info.ID)
 			}
-			seen[id] = true
+			seen[info.ID] = true
 		}
 	}
 }

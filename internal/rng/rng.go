@@ -149,25 +149,6 @@ func (s *Source) NormFloat64() float64 {
 	}
 }
 
-// Perm returns a uniform random permutation of [0, n).
-func (s *Source) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := s.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}
-
-// Shuffle permutes the first n elements using swap, Fisher–Yates style.
-func (s *Source) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := s.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
 // Bool returns true with probability p.
 func (s *Source) Bool(p float64) bool {
 	if p <= 0 {

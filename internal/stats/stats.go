@@ -272,14 +272,6 @@ func linregress(x, y []float64) (slope, intercept, r2 float64) {
 	return slope, intercept, 1 - ssRes/ssTot
 }
 
-// LinRegress exposes the least-squares fit for callers outside the package.
-func LinRegress(x, y []float64) (slope, intercept, r2 float64) {
-	if len(x) != len(y) || len(x) == 0 {
-		return math.NaN(), math.NaN(), math.NaN()
-	}
-	return linregress(x, y)
-}
-
 // Pearson returns the Pearson correlation coefficient of paired samples.
 func Pearson(x, y []float64) float64 {
 	if len(x) != len(y) || len(x) < 2 {

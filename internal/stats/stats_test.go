@@ -162,7 +162,7 @@ func TestFitParetoTailDegenerate(t *testing.T) {
 func TestLinRegressExact(t *testing.T) {
 	x := []float64{0, 1, 2, 3}
 	y := []float64{1, 3, 5, 7} // y = 1 + 2x
-	slope, intercept, r2 := LinRegress(x, y)
+	slope, intercept, r2 := linregress(x, y)
 	if math.Abs(slope-2) > 1e-12 || math.Abs(intercept-1) > 1e-12 || math.Abs(r2-1) > 1e-12 {
 		t.Fatalf("fit %v %v %v", slope, intercept, r2)
 	}

@@ -26,9 +26,6 @@ func TestAppendAndAccessors(t *testing.T) {
 	if tb.NumRows() != 5 {
 		t.Fatalf("rows %d", tb.NumRows())
 	}
-	if len(tb.Columns()) != 3 {
-		t.Fatal("columns")
-	}
 	if tb.Strings("tier")[1] != "beb" {
 		t.Fatal("string column")
 	}
@@ -37,10 +34,6 @@ func TestAppendAndAccessors(t *testing.T) {
 	}
 	if tb.Ints("tasks")[0] != 3 {
 		t.Fatal("int column")
-	}
-	row := tb.Row(3)
-	if row["tier"] != "free" || row["cpu"] != 0.1 || row["tasks"] != int64(7) {
-		t.Fatalf("row %v", row)
 	}
 }
 
@@ -64,85 +57,63 @@ func TestSchemaPanics(t *testing.T) {
 
 func TestWhereAndCount(t *testing.T) {
 	tb := sample()
-	n := From(tb).Where(EqString("tier", "prod")).Count()
-	if n != 2 {
+	count := func(p Predicate) int { return From(tb).Where(p).Materialize().NumRows() }
+	if n := count(EqString("tier", "prod")); n != 2 {
 		t.Fatalf("prod rows %d", n)
 	}
-	n = From(tb).Where(And(EqString("tier", "beb"), GtFloat("cpu", 2))).Count()
-	if n != 1 {
-		t.Fatalf("and rows %d", n)
+	if n := count(EqString("tier", "nope")); n != 0 {
+		t.Fatalf("no-match rows %d", n)
 	}
-	n = From(tb).Where(Or(EqString("tier", "free"), EqInt("tasks", 3))).Count()
-	if n != 2 {
-		t.Fatalf("or rows %d", n)
-	}
-	n = From(tb).Where(Not(EqString("tier", "prod"))).Count()
-	if n != 3 {
-		t.Fatalf("not rows %d", n)
-	}
-	n = From(tb).Where(And(GeInt("tasks", 7), LtInt("tasks", 100))).Count()
-	if n != 2 {
-		t.Fatalf("int range rows %d", n)
-	}
-	n = From(tb).Where(LtFloat("cpu", 0.3)).Count()
-	if n != 2 {
+	if n := count(func(t *Table, row int) bool { return t.Floats("cpu")[row] < 0.3 }); n != 2 {
 		t.Fatalf("lt rows %d", n)
+	}
+	n := From(tb).Where(EqString("tier", "beb")).Where(func(t *Table, row int) bool { return t.Ints("tasks")[row] < 100 }).Materialize().NumRows()
+	if n != 1 {
+		t.Fatalf("chained rows %d", n)
 	}
 }
 
 func TestAggregates(t *testing.T) {
 	tb := sample()
-	q := From(tb)
-	if got := q.Sum("cpu"); math.Abs(got-4.85) > 1e-12 {
+	// No key columns: one group over the whole selection.
+	g := From(tb).GroupBy(nil, Sum("sum", "cpu"), Mean("mean", "cpu"))
+	if g.NumRows() != 1 {
+		t.Fatalf("groups %d", g.NumRows())
+	}
+	if got := g.Floats("sum")[0]; math.Abs(got-4.85) > 1e-12 {
 		t.Fatalf("sum %v", got)
 	}
-	if got := q.Mean("cpu"); math.Abs(got-0.97) > 1e-12 {
+	if got := g.Floats("mean")[0]; math.Abs(got-0.97) > 1e-12 {
 		t.Fatalf("mean %v", got)
 	}
-	empty := From(tb).Where(EqString("tier", "nope"))
-	if !math.IsNaN(empty.Mean("cpu")) {
-		t.Fatal("mean of empty selection should be NaN")
+	empty := From(tb).Where(EqString("tier", "nope")).GroupBy(nil, Mean("mean", "cpu"))
+	if empty.NumRows() != 0 {
+		t.Fatal("aggregate of empty selection should have no groups")
 	}
 }
 
-func TestOrderByAndLimit(t *testing.T) {
+func TestLimit(t *testing.T) {
 	tb := sample()
-	cpus := From(tb).OrderBy("cpu").FloatCol("cpu")
-	for i := 1; i < len(cpus); i++ {
-		if cpus[i] < cpus[i-1] {
-			t.Fatalf("not sorted: %v", cpus)
-		}
-	}
-	desc := From(tb).OrderBy("-cpu").FloatCol("cpu")
-	if desc[0] != 2.5 {
-		t.Fatalf("desc sort %v", desc)
-	}
-	multi := From(tb).OrderBy("tier", "-cpu")
-	tiers := multi.StringCol("tier")
-	if tiers[0] != "beb" || tiers[2] != "free" {
-		t.Fatalf("multi sort %v", tiers)
-	}
-	vals := multi.FloatCol("cpu")
-	if vals[0] != 2.5 || vals[1] != 1.5 {
-		t.Fatalf("multi sort cpu %v", vals)
-	}
-	limited := From(tb).OrderBy("cpu").Limit(2).FloatCol("cpu")
-	if len(limited) != 2 || limited[1] != 0.25 {
+	limited := From(tb).Limit(2).Materialize().Floats("cpu")
+	if len(limited) != 2 || limited[0] != 0.5 || limited[1] != 1.5 {
 		t.Fatalf("limit %v", limited)
 	}
-	if got := From(tb).Limit(-1).Count(); got != 0 {
+	if got := From(tb).Limit(-1).Materialize().NumRows(); got != 0 {
 		t.Fatalf("negative limit %d", got)
 	}
-	if got := From(tb).Limit(99).Count(); got != 5 {
+	if got := From(tb).Limit(99).Materialize().NumRows(); got != 5 {
 		t.Fatalf("over-limit %d", got)
 	}
 }
 
 func TestIntAndStringCol(t *testing.T) {
-	tb := sample()
-	ints := From(tb).Where(EqString("tier", "beb")).IntCol("tasks")
+	beb := From(sample()).Where(EqString("tier", "beb")).Materialize()
+	ints := beb.Ints("tasks")
 	if len(ints) != 2 || ints[0] != 100 || ints[1] != 50 {
 		t.Fatalf("int col %v", ints)
+	}
+	if tiers := beb.Strings("tier"); len(tiers) != 2 || tiers[0] != "beb" || tiers[1] != "beb" {
+		t.Fatalf("string col %v", tiers)
 	}
 }
 
@@ -189,7 +160,7 @@ func TestGroupByMultipleKeys(t *testing.T) {
 
 func TestMaterialize(t *testing.T) {
 	tb := sample()
-	m := From(tb).Where(EqString("tier", "prod")).OrderBy("-cpu").Materialize()
+	m := From(tb).Where(EqString("tier", "prod")).Materialize()
 	if m.NumRows() != 2 {
 		t.Fatalf("materialized rows %d", m.NumRows())
 	}
@@ -200,26 +171,6 @@ func TestMaterialize(t *testing.T) {
 	m.Append("prod", 9.0, int64(9))
 	if tb.NumRows() != 5 {
 		t.Fatal("materialize aliased the original")
-	}
-}
-
-func TestQuantile(t *testing.T) {
-	tb := New(Column{"v", Float64})
-	for _, v := range []float64{1, 2, 3, 4, 5} {
-		tb.Append(v)
-	}
-	q := From(tb)
-	if got := q.Quantile("v", 0.5); got != 3 {
-		t.Fatalf("median %v", got)
-	}
-	if got := q.Quantile("v", 0); got != 1 {
-		t.Fatalf("q0 %v", got)
-	}
-	if got := q.Quantile("v", 1); got != 5 {
-		t.Fatalf("q1 %v", got)
-	}
-	if !math.IsNaN(From(tb).Where(GtFloat("v", 100)).Quantile("v", 0.5)) {
-		t.Fatal("empty quantile should be NaN")
 	}
 }
 
@@ -258,16 +209,17 @@ func TestGroupByPartitionProperty(t *testing.T) {
 	}
 }
 
-// Property: Where(p) + Where(Not(p)) partition the rows.
+// Property: Where(p) and Where(not p) partition the rows.
 func TestWherePartitionProperty(t *testing.T) {
 	f := func(vals []uint8) bool {
 		tb := New(Column{"v", Float64})
 		for _, v := range vals {
 			tb.Append(float64(v))
 		}
-		p := GtFloat("v", 128)
-		a := From(tb).Where(p).Count()
-		b := From(tb).Where(Not(p)).Count()
+		p := func(t *Table, row int) bool { return t.Floats("v")[row] > 128 }
+		notP := func(t *Table, row int) bool { return !p(t, row) }
+		a := From(tb).Where(p).Materialize().NumRows()
+		b := From(tb).Where(notP).Materialize().NumRows()
 		return a+b == len(vals)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {

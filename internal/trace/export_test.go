@@ -5,6 +5,13 @@ var (
 	NewTestTrace  = newTestTrace
 	CorruptRowCSV = corruptRowCSV
 	BadEnumCSV    = badEnumCSV
+
+	// ValidateOracle is the walker the streaming Validator is checked
+	// against; ViolationSet and ReplayOneRecordBlocks are the comparison
+	// helpers of that check.
+	ValidateOracle        = validateOracle
+	ViolationSet          = violationSet
+	ReplayOneRecordBlocks = replayOneRecordBlocks
 )
 
 // TableFiles names the files WriteDir writes, meta.json first.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/analysis/streaming"
@@ -14,8 +15,10 @@ import (
 // FuzzReadDir feeds arbitrary file contents to ReadDir, one argument per
 // file in trace.TableFiles order. No input may crash the reader or the
 // borganalyze path behind it: ReadDir either errors or returns a trace
-// that streaming.Replay folds. An accepted trace must round-trip: written
-// with WriteDir and read back, it writes the same bytes again. The seeds
+// that streaming.Replay folds. On an accepted trace the streaming
+// validator must report the walker oracle's violations, untruncated, and
+// the trace must round-trip: written with WriteDir and read back, it
+// writes the same bytes again. The seeds
 // are a WriteDir fixture, that fixture with the corrupt and bad-enum
 // collection tables, and metadata outside ReadDir's Duration bounds.
 func FuzzReadDir(f *testing.F) {
@@ -48,6 +51,11 @@ func FuzzReadDir(f *testing.F) {
 			return
 		}
 		streaming.Replay(tr, streaming.Config{Meta: tr.Meta, SnapshotAt: tr.Meta.Duration / 2})
+		opts := untruncated()
+		want := trace.ViolationSet(trace.ValidateOracle(tr, opts))
+		if got := trace.ViolationSet(trace.Validate(tr, opts)); !slices.Equal(got, want) {
+			t.Fatalf("Validate reports\n%q\noracle\n%q", got, want)
+		}
 		if err := trace.WriteDir(tr, first); err != nil {
 			t.Fatal(err)
 		}

@@ -25,23 +25,14 @@ const (
 
 // WriteDir writes the trace as CSV tables plus meta.json into dir,
 // creating it if needed. It is the post-hoc counterpart of DirSink:
-// replaying the retained tables through a sink produces the identical
-// on-disk layout a streaming run would have written.
+// replaying the retained tables into one produces the identical on-disk
+// layout a streaming run would have written.
 func WriteDir(t *MemTrace, dir string) error {
 	s, err := NewDirSink(dir, t.Meta)
 	if err != nil {
 		return err
 	}
-	for _, ev := range t.CollectionEvents {
-		s.CollectionEvent(ev)
-	}
-	for _, ev := range t.InstanceEvents {
-		s.InstanceEvent(ev)
-	}
-	s.Usage(t.UsageRecords)
-	for _, ev := range t.MachineEvents {
-		s.MachineEvent(ev)
-	}
+	t.Replay(s)
 	return s.Close()
 }
 
@@ -269,7 +260,13 @@ func (s *DirSink) closeFiles() {
 // arbitrarily large allocation.
 const MaxDuration = 365 * sim.Day
 
-// ReadDir loads a trace previously written by WriteDir. A meta.json whose Duration is negative or above MaxDuration is an error.
+// ReadDir loads a trace previously written by WriteDir. A meta.json whose
+// Duration is negative or above MaxDuration is an error, and so is a
+// usage row whose Start or End lies outside [0, MaxDuration] or that is
+// longer than one sampling window (the schema's rows cover one 5-minute
+// window, §3): the validator sums usage per window a row spans, so an
+// unchecked row could demand an arbitrarily long loop. Empty and
+// inverted windows are read as written, for the validator to report.
 func ReadDir(dir string) (*MemTrace, error) {
 	metaPath := filepath.Join(dir, metaFile)
 	metaBytes, err := os.ReadFile(metaPath)
@@ -524,6 +521,10 @@ func (t *MemTrace) readUsage(rec []string) error {
 	}
 	if p.err != nil {
 		return p.err
+	}
+	if u.Start < 0 || u.Start > MaxDuration || u.End < 0 || u.End > MaxDuration || u.End-u.Start > sim.SampleWindow {
+		return fmt.Errorf("usage window [%d, %d) outside [0, %d] (MaxDuration) or longer than %d",
+			int64(u.Start), int64(u.End), int64(MaxDuration), int64(sim.SampleWindow))
 	}
 	t.UsageRecords = append(t.UsageRecords, u)
 	return nil

@@ -92,6 +92,40 @@ func TestReadDirDurationBounds(t *testing.T) {
 	}
 }
 
+// TestReadDirUsageWindowBounds: the validator loops over every 5-minute
+// window a usage row spans, so ReadDir must reject a row whose Start or
+// End lies outside [0, MaxDuration] or that is longer than one window.
+func TestReadDirUsageWindowBounds(t *testing.T) {
+	for _, c := range []struct {
+		name       string
+		start, end sim.Time
+		ok         bool
+	}{
+		{"one window", 0, sim.SampleWindow, true},
+		{"straddling", sim.SampleWindow / 2, 3 * sim.SampleWindow / 2, true},
+		{"last window", MaxDuration - sim.SampleWindow, MaxDuration, true},
+		{"inverted", 10, 5, true},
+		{"longer than a window", 0, sim.SampleWindow + 1, false},
+		{"whole year", 0, MaxDuration, false},
+		{"negative start", -1, 5, false},
+		{"end above max", 0, MaxDuration + 1, false},
+		{"huge", 0, 9000000000000000000, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			tr := newTestTrace()
+			tr.UsageRecords[0].Start, tr.UsageRecords[0].End = c.start, c.end
+			if err := WriteDir(tr, dir); err != nil {
+				t.Fatal(err)
+			}
+			_, err := ReadDir(dir)
+			if c.ok != (err == nil) {
+				t.Fatalf("window [%d, %d): ReadDir error %v", c.start, c.end, err)
+			}
+		})
+	}
+}
+
 func TestReadDirCorruptMeta(t *testing.T) {
 	dir := t.TempDir()
 	if err := WriteDir(newTestTrace(), dir); err != nil {

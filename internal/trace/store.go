@@ -1,8 +1,9 @@
 package trace
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/sim"
 )
@@ -17,9 +18,10 @@ type Meta struct {
 	Seed     uint64   // root seed used for generation
 }
 
-// MemTrace is an in-memory trace store: the Sink that retains everything.
-// It also builds the per-collection and per-instance indexes the analyses
-// need. MemTrace is not safe for concurrent mutation.
+// MemTrace is an in-memory trace store: the Sink that retains every row,
+// one slice per table in emission order, and nothing else. Post-hoc
+// consumers (WriteDir, Validate, streaming.Replay) replay it into a
+// Sink. MemTrace is not safe for concurrent mutation.
 type MemTrace struct {
 	Meta Meta
 
@@ -27,29 +29,20 @@ type MemTrace struct {
 	InstanceEvents   []InstanceEvent
 	UsageRecords     []UsageRecord
 	MachineEvents    []MachineEvent
-
-	collIndex map[CollectionID][]int // indexes into CollectionEvents
-	instIndex map[InstanceKey][]int  // indexes into InstanceEvents
 }
 
 // NewMemTrace returns an empty store with the given metadata.
 func NewMemTrace(meta Meta) *MemTrace {
-	return &MemTrace{
-		Meta:      meta,
-		collIndex: make(map[CollectionID][]int),
-		instIndex: make(map[InstanceKey][]int),
-	}
+	return &MemTrace{Meta: meta}
 }
 
 // CollectionEvent stores the row.
 func (t *MemTrace) CollectionEvent(ev CollectionEvent) {
-	t.collIndex[ev.Collection] = append(t.collIndex[ev.Collection], len(t.CollectionEvents))
 	t.CollectionEvents = append(t.CollectionEvents, ev)
 }
 
 // InstanceEvent stores the row.
 func (t *MemTrace) InstanceEvent(ev InstanceEvent) {
-	t.instIndex[ev.Key] = append(t.instIndex[ev.Key], len(t.InstanceEvents))
 	t.InstanceEvents = append(t.InstanceEvents, ev)
 }
 
@@ -63,49 +56,22 @@ func (t *MemTrace) MachineEvent(ev MachineEvent) {
 	t.MachineEvents = append(t.MachineEvents, ev)
 }
 
-// Collections returns the IDs of all collections seen, sorted.
-func (t *MemTrace) Collections() []CollectionID {
-	ids := make([]CollectionID, 0, len(t.collIndex))
-	for id := range t.collIndex {
-		ids = append(ids, id)
+// Replay feeds the stored rows to s: machine events, then collection
+// events, then instance events, each in emission order, then every usage
+// record as one block. It is the one walk behind every post-hoc
+// consumer, so they see the rows a live sink would have seen, grouped
+// by table.
+func (t *MemTrace) Replay(s Sink) {
+	for _, ev := range t.MachineEvents {
+		s.MachineEvent(ev)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
-}
-
-// EventsOf returns the collection's events in emission order.
-func (t *MemTrace) EventsOf(id CollectionID) []CollectionEvent {
-	idxs := t.collIndex[id]
-	out := make([]CollectionEvent, len(idxs))
-	for i, idx := range idxs {
-		out[i] = t.CollectionEvents[idx]
+	for _, ev := range t.CollectionEvents {
+		s.CollectionEvent(ev)
 	}
-	return out
-}
-
-// Instances returns all instance keys seen, sorted.
-func (t *MemTrace) Instances() []InstanceKey {
-	keys := make([]InstanceKey, 0, len(t.instIndex))
-	for k := range t.instIndex {
-		keys = append(keys, k)
+	for _, ev := range t.InstanceEvents {
+		s.InstanceEvent(ev)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Collection != keys[j].Collection {
-			return keys[i].Collection < keys[j].Collection
-		}
-		return keys[i].Index < keys[j].Index
-	})
-	return keys
-}
-
-// InstanceEventsOf returns the instance's events in emission order.
-func (t *MemTrace) InstanceEventsOf(k InstanceKey) []InstanceEvent {
-	idxs := t.instIndex[k]
-	out := make([]InstanceEvent, len(idxs))
-	for i, idx := range idxs {
-		out[i] = t.InstanceEvents[idx]
-	}
-	return out
+	s.Usage(t.UsageRecords)
 }
 
 // CollectionInfo is the static view of one collection, reconstructed from
@@ -131,52 +97,47 @@ type CollectionInfo struct {
 // CollectionInfos reconstructs the static attributes and outcome of every
 // collection in the trace, sorted by ID.
 func (t *MemTrace) CollectionInfos() []CollectionInfo {
-	out := make([]CollectionInfo, 0, len(t.collIndex))
-	for _, id := range t.Collections() {
-		evs := t.EventsOf(id)
-		first := evs[0]
-		info := CollectionInfo{
-			ID:             id,
-			CollectionType: first.CollectionType,
-			Priority:       first.Priority,
-			Tier:           first.Tier,
-			User:           first.User,
-			Parent:         first.Parent,
-			AllocSet:       first.AllocSet,
-			Scheduler:      first.Scheduler,
-			Scaling:        first.Scaling,
-			SubmitTime:     first.Time,
-			FinalEvent:     EventSubmit,
+	var out []CollectionInfo
+	at := make(map[CollectionID]int) // index into out
+	for _, ev := range t.CollectionEvents {
+		i, ok := at[ev.Collection]
+		if !ok {
+			i = len(out)
+			at[ev.Collection] = i
+			out = append(out, CollectionInfo{
+				ID:             ev.Collection,
+				CollectionType: ev.CollectionType,
+				Priority:       ev.Priority,
+				Tier:           ev.Tier,
+				User:           ev.User,
+				Parent:         ev.Parent,
+				AllocSet:       ev.AllocSet,
+				Scheduler:      ev.Scheduler,
+				Scaling:        ev.Scaling,
+				SubmitTime:     ev.Time,
+				FinalEvent:     EventSubmit,
+			})
 		}
-		for _, ev := range evs {
-			if ev.Type.IsTermination() {
-				info.FinalEvent = ev.Type
-				info.FinalTime = ev.Time
-			}
+		if ev.Type.IsTermination() {
+			out[i].FinalEvent = ev.Type
+			out[i].FinalTime = ev.Time
 		}
-		out = append(out, info)
 	}
+	slices.SortFunc(out, func(a, b CollectionInfo) int { return cmp.Compare(a.ID, b.ID) })
 	return out
-}
-
-// MachineCapacities returns each machine's final capacity and platform, as
-// established by ADD/UPDATE machine events, excluding removed machines.
-func (t *MemTrace) MachineCapacities() map[MachineID]MachineEvent {
-	m := make(map[MachineID]MachineEvent)
-	for _, ev := range t.MachineEvents {
-		switch ev.Type {
-		case MachineAdd, MachineUpdate:
-			m[ev.Machine] = ev
-		case MachineRemove:
-			delete(m, ev.Machine)
-		}
-	}
-	return m
 }
 
 // Counts summarizes row counts; used in logs and Table 1.
 func (t *MemTrace) Counts() string {
+	colls := make(map[CollectionID]struct{})
+	for _, ev := range t.CollectionEvents {
+		colls[ev.Collection] = struct{}{}
+	}
+	insts := make(map[InstanceKey]struct{})
+	for _, ev := range t.InstanceEvents {
+		insts[ev.Key] = struct{}{}
+	}
 	return fmt.Sprintf("collections=%d instances=%d collEvents=%d instEvents=%d usage=%d machineEvents=%d",
-		len(t.collIndex), len(t.instIndex), len(t.CollectionEvents),
+		len(colls), len(insts), len(t.CollectionEvents),
 		len(t.InstanceEvents), len(t.UsageRecords), len(t.MachineEvents))
 }

@@ -1,9 +1,15 @@
 // Package trace defines the reproduction's trace data model, mirroring the
 // published 2019 Borg trace (v3) schema: collections (jobs and alloc sets),
 // instances (tasks and alloc instances), their life-cycle events, 5-minute
-// usage records, and machine events. It also provides the in-memory trace
-// store, streaming Sink fan-out, CSV/JSON codecs, and the invariant
-// validator described in §9 of the paper.
+// usage records, and machine events.
+//
+// Every consumer of a trace is a Sink, one method per table: the
+// streaming fan-out, the row counter, the CSV writer (DirSink), the
+// invariant Validator described in §9 of the paper, and the in-memory
+// store itself. MemTrace is a plain row store with no indexes; post-hoc
+// consumers (WriteDir, Validate, and the analysis package's Replay)
+// replay it into their sink with MemTrace.Replay, so a retained run and
+// a streamed one feed each consumer the same rows.
 package trace
 
 import "fmt"
@@ -79,27 +85,6 @@ func TierFromPriority2019(priority int) Tier {
 		return TierProduction
 	}
 }
-
-// TierFromPriority2011 maps a 2011 priority band (0–11) to its tier:
-// free = bands 0–1, beb = bands 2–8, prod = bands 9–10, monitoring = 11
-// (folded into prod). The 2011 trace has no mid tier.
-func TierFromPriority2011(band int) Tier {
-	switch {
-	case band <= 1:
-		return TierFree
-	case band <= 8:
-		return TierBestEffortBatch
-	default:
-		return TierProduction
-	}
-}
-
-// Priority2011Values are the 12 remapped priority bands of the 2011 trace.
-var Priority2011Values = []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}
-
-// Priority2019Values are the raw priority values the 2011 bands correspond
-// to (§3): sparse values in 0–450.
-var Priority2019Values = []int{0, 25, 100, 101, 103, 104, 107, 109, 119, 200, 360, 450}
 
 // CollectionType distinguishes jobs from alloc sets (together,
 // "collections", §5.1).
@@ -197,11 +182,6 @@ func (r Resources) Sub(o Resources) Resources {
 // Scale returns r scaled by f in both dimensions.
 func (r Resources) Scale(f float64) Resources {
 	return Resources{CPU: r.CPU * f, Mem: r.Mem * f}
-}
-
-// FitsIn reports whether r fits within capacity c in both dimensions.
-func (r Resources) FitsIn(c Resources) bool {
-	return r.CPU <= c.CPU && r.Mem <= c.Mem
 }
 
 // NonNegative reports whether both dimensions are >= 0.

@@ -1,8 +1,9 @@
 package trace
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/sim"
 )
@@ -23,7 +24,7 @@ func (v Violation) String() string {
 
 // ValidateOptions tunes validation strictness.
 type ValidateOptions struct {
-	// MaxViolations stops validation after this many findings
+	// MaxViolations stops recording after this many findings
 	// (0 = unlimited). Large traces with a systemic bug would otherwise
 	// produce millions of identical rows.
 	MaxViolations int
@@ -42,8 +43,17 @@ func DefaultValidateOptions() ValidateOptions {
 	return ValidateOptions{MaxViolations: 100, CPUOvercommitTolerance: 1e-9}
 }
 
-// Validate checks the §9-style invariants over a stored trace and returns
-// all violations found (bounded by opts.MaxViolations):
+// Validate checks the §9 invariants over a stored trace by replaying it
+// into a Validator, and returns the violations found (bounded by
+// opts.MaxViolations).
+func Validate(t *MemTrace, opts ValidateOptions) []Violation {
+	v := NewValidator(opts)
+	t.Replay(v)
+	return v.Violations()
+}
+
+// Validator is the §9 invariant checker as a Sink, so a run validates
+// while it simulates, with or without a retained trace:
 //
 //  1. A SUBMIT precedes any termination event, per collection and instance.
 //  2. At most one terminal state is "open" at a time: termination events
@@ -57,238 +67,256 @@ func DefaultValidateOptions() ValidateOptions {
 //     (hard for memory, tolerance for CPU).
 //  8. A child collection does not outlive its parent's termination by
 //     more than a grace window (parent exit kills children, §5.2).
-func Validate(t *MemTrace, opts ValidateOptions) []Violation {
-	var out []Violation
-	add := func(invariant, format string, args ...any) bool {
-		out = append(out, Violation{Invariant: invariant, Detail: fmt.Sprintf(format, args...)})
-		return opts.MaxViolations > 0 && len(out) >= opts.MaxViolations
-	}
+//
+// Rows are checked as they arrive; invariants 5, 7 and 8 need the whole
+// stream and are checked by Violations. The state is a few words per
+// machine, collection and instance, plus one summed usage vector per
+// occupied machine-window (about 40 B each), which grows with the
+// horizon. A Validator belongs to one cell and is not safe for
+// concurrent use.
+type Validator struct {
+	opts  ValidateOptions
+	found []Violation // per-row findings, in stream order
 
-	// Machine liveness intervals.
-	type interval struct{ add, remove sim.Time }
-	machines := make(map[MachineID]*interval)
-	for _, ev := range t.MachineEvents {
-		switch ev.Type {
-		case MachineAdd:
-			machines[ev.Machine] = &interval{add: ev.Time, remove: -1}
-		case MachineRemove:
-			if iv, ok := machines[ev.Machine]; ok {
-				iv.remove = ev.Time
-			}
+	machines map[MachineID]machineState
+	colls    map[CollectionID]collState
+	insts    map[InstanceKey]instState
+	usage    int // usage rows seen, the index in usage-row details
+	windows  map[windowKey]Resources
+}
+
+type machineState struct {
+	live        bool     // an ADD has been seen
+	add, remove sim.Time // lifetime of the last ADD; remove < 0 while present
+	hasCapacity bool
+	capacity    Resources // from the last ADD or UPDATE
+}
+
+type collState struct {
+	last       sim.Time
+	submit     sim.Time // time of the first event
+	parent     CollectionID
+	submitted  bool // a SUBMIT has been seen
+	open       bool // terminated since the last SUBMIT
+	terminated bool
+	term       sim.Time // time of the last termination
+}
+
+type instState struct {
+	last       sim.Time
+	submitted  bool
+	terminated bool
+}
+
+type windowKey struct {
+	machine MachineID
+	start   sim.Time
+}
+
+// parentKillGrace is how long a child may outlive its parent's
+// termination (or its own submission, if later).
+const parentKillGrace = 5 * sim.Minute
+
+// NewValidator returns a Validator with no rows seen.
+func NewValidator(opts ValidateOptions) *Validator {
+	return &Validator{
+		opts:     opts,
+		machines: make(map[MachineID]machineState),
+		colls:    make(map[CollectionID]collState),
+		insts:    make(map[InstanceKey]instState),
+		windows:  make(map[windowKey]Resources),
+	}
+}
+
+// add records a violation unless MaxViolations are already recorded.
+func (v *Validator) add(out *[]Violation, invariant, format string, args ...any) {
+	if v.opts.MaxViolations > 0 && len(*out) >= v.opts.MaxViolations {
+		return
+	}
+	*out = append(*out, Violation{Invariant: invariant, Detail: fmt.Sprintf(format, args...)})
+}
+
+// MachineEvent tracks the machine's lifetime and capacity.
+func (v *Validator) MachineEvent(ev MachineEvent) {
+	m := v.machines[ev.Machine]
+	switch ev.Type {
+	case MachineAdd:
+		m.live, m.add, m.remove = true, ev.Time, -1
+	case MachineRemove:
+		if m.live {
+			m.remove = ev.Time
 		}
 	}
-	capacity := make(map[MachineID]Resources)
-	for _, ev := range t.MachineEvents {
-		if ev.Type == MachineAdd || ev.Type == MachineUpdate {
-			capacity[ev.Machine] = ev.Capacity
-		}
+	if ev.Type == MachineAdd || ev.Type == MachineUpdate {
+		m.hasCapacity, m.capacity = true, ev.Capacity
 	}
+	v.machines[ev.Machine] = m
+}
 
-	// Collection-level checks.
-	collTerm := make(map[CollectionID]sim.Time)
-	for _, id := range t.Collections() {
-		evs := t.EventsOf(id)
-		var last sim.Time = -1
-		seenSubmit := false
-		openTermination := false
-		for _, ev := range evs {
-			if ev.Time < last {
-				if add("coll-time-order", "collection %d: %s at %v after %v", id, ev.Type, ev.Time, last) {
-					return out
-				}
-			}
-			last = ev.Time
-			switch {
-			case ev.Type == EventSubmit:
-				seenSubmit = true
-				openTermination = false
-			case ev.Type.IsTermination():
-				if !seenSubmit {
-					if add("submit-before-termination", "collection %d: %s at %v before any SUBMIT", id, ev.Type, ev.Time) {
-						return out
-					}
-				}
-				if openTermination {
-					if add("double-termination", "collection %d: %s at %v after prior termination", id, ev.Type, ev.Time) {
-						return out
-					}
-				}
-				openTermination = true
-				collTerm[id] = ev.Time
-			}
+// CollectionEvent checks time order, submit-before-termination and
+// double termination for the collection.
+func (v *Validator) CollectionEvent(ev CollectionEvent) {
+	id := ev.Collection
+	c, seen := v.colls[id]
+	if !seen {
+		c = collState{last: -1, submit: ev.Time, parent: ev.Parent}
+	}
+	if ev.Time < c.last {
+		v.add(&v.found, "coll-time-order", "collection %d: %s at %v after %v", id, ev.Type, ev.Time, c.last)
+	}
+	c.last = ev.Time
+	switch {
+	case ev.Type == EventSubmit:
+		c.submitted, c.open = true, false
+	case ev.Type.IsTermination():
+		if !c.submitted {
+			v.add(&v.found, "submit-before-termination", "collection %d: %s at %v before any SUBMIT", id, ev.Type, ev.Time)
 		}
+		if c.open {
+			v.add(&v.found, "double-termination", "collection %d: %s at %v after prior termination", id, ev.Type, ev.Time)
+		}
+		c.open, c.terminated, c.term = true, true, ev.Time
 	}
+	v.colls[id] = c
+}
 
-	// Parent/child causality: children must terminate within the grace
-	// window after the parent's termination.
-	const parentKillGrace = 5 * sim.Minute
-	infos := t.CollectionInfos()
-	infoByID := make(map[CollectionID]CollectionInfo, len(infos))
-	for _, info := range infos {
-		infoByID[info.ID] = info
+// InstanceEvent checks time order, schedule-before-submit, the
+// scheduled machine's lifetime and double termination for the instance.
+func (v *Validator) InstanceEvent(ev InstanceEvent) {
+	key := ev.Key
+	s, seen := v.insts[key]
+	if !seen {
+		s.last = -1
 	}
-	for _, info := range infos {
-		if info.Parent == 0 {
+	if ev.Time < s.last {
+		v.add(&v.found, "inst-time-order", "instance %s: %s at %v after %v", key, ev.Type, ev.Time, s.last)
+	}
+	s.last = ev.Time
+	switch {
+	case ev.Type == EventSubmit:
+		s.submitted, s.terminated = true, false
+	case ev.Type == EventSchedule:
+		if !s.submitted {
+			v.add(&v.found, "schedule-before-submit", "instance %s scheduled at %v before SUBMIT", key, ev.Time)
+		}
+		if ev.Machine == 0 {
+			v.add(&v.found, "schedule-machine", "instance %s scheduled at %v with no machine", key, ev.Time)
+		} else if m := v.machines[ev.Machine]; !m.live {
+			v.add(&v.found, "schedule-machine", "instance %s scheduled on unknown machine %d", key, ev.Machine)
+		} else if ev.Time < m.add || (m.remove >= 0 && ev.Time > m.remove) {
+			v.add(&v.found, "schedule-machine", "instance %s scheduled on machine %d outside its lifetime", key, ev.Machine)
+		}
+	case ev.Type.IsTermination():
+		if s.terminated {
+			v.add(&v.found, "double-termination", "instance %s: %s at %v after prior termination", key, ev.Type, ev.Time)
+		}
+		s.terminated = true
+	}
+	v.insts[key] = s
+}
+
+// Usage checks each record's window and values and adds its average
+// usage to the machine-window sums.
+func (v *Validator) Usage(recs []UsageRecord) {
+	for _, rec := range recs {
+		i := v.usage
+		v.usage++
+		if rec.End <= rec.Start {
+			v.add(&v.found, "usage-window", "usage[%d] %s window [%v,%v) is empty or inverted", i, rec.Key, rec.Start, rec.End)
+		}
+		if !rec.AvgUsage.NonNegative() || !rec.MaxUsage.NonNegative() {
+			v.add(&v.found, "usage-negative", "usage[%d] %s has negative usage", i, rec.Key)
+		}
+		if rec.AvgUsage.CPU > rec.MaxUsage.CPU+1e-9 || rec.AvgUsage.Mem > rec.MaxUsage.Mem+1e-9 {
+			v.add(&v.found, "usage-avg-max", "usage[%d] %s average exceeds max", i, rec.Key)
+		}
+		if rec.Machine == 0 || rec.End <= rec.Start {
 			continue
 		}
-		pterm, ok := collTerm[info.Parent]
-		if !ok {
+		// Time-weighted accounting: a record contributes its average
+		// usage scaled by its overlap with each 5-minute window, so
+		// partial-window records from short tasks are weighed by how
+		// long they actually occupied the machine.
+		for w := rec.Start / sim.SampleWindow; w <= (rec.End-1)/sim.SampleWindow; w++ {
+			wStart := w * sim.SampleWindow
+			lo, hi := max(rec.Start, wStart), min(rec.End, wStart+sim.SampleWindow)
+			k := windowKey{machine: rec.Machine, start: wStart}
+			v.windows[k] = v.windows[k].Add(rec.AvgUsage.Scale(float64(hi-lo) / float64(sim.SampleWindow)))
+		}
+	}
+}
+
+// Violations returns the per-row findings in stream order, then the
+// checks that need the whole stream: children outliving their parents
+// by collection ID, instances of collections with no events by instance
+// key, and machine-window capacity by machine and window. At most
+// MaxViolations are returned. It does not change the Validator, so more
+// rows may follow.
+func (v *Validator) Violations() []Violation {
+	out := slices.Clone(v.found)
+	if v.opts.MaxViolations > 0 && len(out) >= v.opts.MaxViolations {
+		return out
+	}
+
+	ids := make([]CollectionID, 0, len(v.colls))
+	for id, c := range v.colls {
+		if c.parent != 0 {
+			ids = append(ids, id)
+		}
+	}
+	slices.Sort(ids)
+	for _, id := range ids {
+		c := v.colls[id]
+		p := v.colls[c.parent]
+		if !p.terminated {
 			continue // parent still running at trace end
 		}
-		cterm, terminated := collTerm[info.ID]
-		if !terminated {
-			if add("parent-kill", "collection %d still open after parent %d terminated at %v", info.ID, info.Parent, pterm) {
-				return out
-			}
+		if !c.terminated {
+			v.add(&out, "parent-kill", "collection %d still open after parent %d terminated at %v", id, c.parent, p.term)
 			continue
 		}
 		// A child submitted after its parent's exit is killed on arrival,
 		// so the grace window runs from whichever came last.
-		deadline := pterm
-		if info.SubmitTime > deadline {
-			deadline = info.SubmitTime
-		}
-		if cterm > deadline+parentKillGrace {
-			if add("parent-kill", "collection %d terminated at %v, > grace after parent %d at %v", info.ID, cterm, info.Parent, pterm) {
-				return out
-			}
-		}
-	}
-	_ = infoByID
-
-	// Instance-level checks.
-	for _, key := range t.Instances() {
-		evs := t.InstanceEventsOf(key)
-		var last sim.Time = -1
-		seenSubmit := false
-		running := false
-		terminated := false
-		for _, ev := range evs {
-			if ev.Time < last {
-				if add("inst-time-order", "instance %s: %s at %v after %v", key, ev.Type, ev.Time, last) {
-					return out
-				}
-			}
-			last = ev.Time
-			switch {
-			case ev.Type == EventSubmit:
-				seenSubmit = true
-				terminated = false
-			case ev.Type == EventSchedule:
-				if !seenSubmit {
-					if add("schedule-before-submit", "instance %s scheduled at %v before SUBMIT", key, ev.Time) {
-						return out
-					}
-				}
-				if ev.Machine == 0 {
-					if add("schedule-machine", "instance %s scheduled at %v with no machine", key, ev.Time) {
-						return out
-					}
-				} else if iv, ok := machines[ev.Machine]; !ok {
-					if add("schedule-machine", "instance %s scheduled on unknown machine %d", key, ev.Machine) {
-						return out
-					}
-				} else if ev.Time < iv.add || (iv.remove >= 0 && ev.Time > iv.remove) {
-					if add("schedule-machine", "instance %s scheduled on machine %d outside its lifetime", key, ev.Machine) {
-						return out
-					}
-				}
-				running = true
-			case ev.Type.IsTermination():
-				if terminated {
-					if add("double-termination", "instance %s: %s at %v after prior termination", key, ev.Type, ev.Time) {
-						return out
-					}
-				}
-				terminated = true
-				running = false
-			}
-		}
-		_ = running
-		if _, ok := t.collIndex[key.Collection]; !ok {
-			if add("orphan-instance", "instance %s references collection with no events", key) {
-				return out
-			}
+		if c.term > max(p.term, c.submit)+parentKillGrace {
+			v.add(&out, "parent-kill", "collection %d terminated at %v, > grace after parent %d at %v", id, c.term, c.parent, p.term)
 		}
 	}
 
-	// Usage-record checks, plus per-machine-window capacity accounting.
-	type windowKey struct {
-		machine MachineID
-		start   sim.Time
-	}
-	usageSum := make(map[windowKey]Resources)
-	for i, rec := range t.UsageRecords {
-		if rec.End <= rec.Start {
-			if add("usage-window", "usage[%d] %s window [%v,%v) is empty or inverted", i, rec.Key, rec.Start, rec.End) {
-				return out
-			}
-		}
-		if !rec.AvgUsage.NonNegative() || !rec.MaxUsage.NonNegative() {
-			if add("usage-negative", "usage[%d] %s has negative usage", i, rec.Key) {
-				return out
-			}
-		}
-		if rec.AvgUsage.CPU > rec.MaxUsage.CPU+1e-9 || rec.AvgUsage.Mem > rec.MaxUsage.Mem+1e-9 {
-			if add("usage-avg-max", "usage[%d] %s average exceeds max", i, rec.Key) {
-				return out
-			}
-		}
-		if rec.Machine != 0 && rec.End > rec.Start {
-			// Time-weighted accounting: a record contributes its average
-			// usage scaled by its overlap with each 5-minute window, so
-			// partial-window records from short tasks are weighed by
-			// how long they actually occupied the machine.
-			firstW := rec.Start / sim.SampleWindow
-			lastW := (rec.End - 1) / sim.SampleWindow
-			for w := firstW; w <= lastW; w++ {
-				wStart := w * sim.SampleWindow
-				wEnd := wStart + sim.SampleWindow
-				lo, hi := rec.Start, rec.End
-				if wStart > lo {
-					lo = wStart
-				}
-				if wEnd < hi {
-					hi = wEnd
-				}
-				frac := float64(hi-lo) / float64(sim.SampleWindow)
-				k := windowKey{machine: rec.Machine, start: wStart}
-				usageSum[k] = usageSum[k].Add(rec.AvgUsage.Scale(frac))
-			}
+	var orphans []InstanceKey
+	for key := range v.insts {
+		if _, ok := v.colls[key.Collection]; !ok {
+			orphans = append(orphans, key)
 		}
 	}
-	keys := make([]windowKey, 0, len(usageSum))
-	for k := range usageSum {
+	slices.SortFunc(orphans, func(a, b InstanceKey) int {
+		return cmp.Or(cmp.Compare(a.Collection, b.Collection), cmp.Compare(a.Index, b.Index))
+	})
+	for _, key := range orphans {
+		v.add(&out, "orphan-instance", "instance %s references collection with no events", key)
+	}
+
+	keys := make([]windowKey, 0, len(v.windows))
+	for k := range v.windows {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].machine != keys[j].machine {
-			return keys[i].machine < keys[j].machine
-		}
-		return keys[i].start < keys[j].start
+	slices.SortFunc(keys, func(a, b windowKey) int {
+		return cmp.Or(cmp.Compare(a.machine, b.machine), cmp.Compare(a.start, b.start))
 	})
 	for _, k := range keys {
-		sum := usageSum[k]
-		cap, ok := capacity[k.machine]
-		if !ok {
-			if add("usage-machine", "usage on machine %d with no capacity record", k.machine) {
-				return out
-			}
+		sum := v.windows[k]
+		m := v.machines[k.machine]
+		if !m.hasCapacity {
+			v.add(&out, "usage-machine", "usage on machine %d with no capacity record", k.machine)
 			continue
 		}
-		if sum.Mem > cap.Mem+1e-9 {
-			if add("machine-mem-capacity", "machine %d window %v: summed mem usage %.4f > capacity %.4f",
-				k.machine, k.start, sum.Mem, cap.Mem) {
-				return out
-			}
+		if sum.Mem > m.capacity.Mem+1e-9 {
+			v.add(&out, "machine-mem-capacity", "machine %d window %v: summed mem usage %.4f > capacity %.4f",
+				k.machine, k.start, sum.Mem, m.capacity.Mem)
 		}
-		if sum.CPU > cap.CPU+opts.CPUOvercommitTolerance {
-			if add("machine-cpu-capacity", "machine %d window %v: summed cpu usage %.4f > capacity %.4f",
-				k.machine, k.start, sum.CPU, cap.CPU) {
-				return out
-			}
+		if sum.CPU > m.capacity.CPU+v.opts.CPUOvercommitTolerance {
+			v.add(&out, "machine-cpu-capacity", "machine %d window %v: summed cpu usage %.4f > capacity %.4f",
+				k.machine, k.start, sum.CPU, m.capacity.CPU)
 		}
 	}
-
 	return out
 }

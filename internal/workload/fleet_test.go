@@ -44,14 +44,3 @@ func TestSampleFleetProfileReproducibleAndVaried(t *testing.T) {
 			len(machines), len(rates))
 	}
 }
-
-func TestFleetMachineQuantile(t *testing.T) {
-	if got := FleetMachineQuantile(100, 0.5); math.Abs(got-100) > 1e-9 {
-		t.Fatalf("median quantile %g, want 100", got)
-	}
-	p90 := FleetMachineQuantile(100, 0.9)
-	want := 100 * math.Exp(FleetMachineSigma*1.2815515655446004)
-	if math.Abs(p90-want)/want > 1e-6 {
-		t.Fatalf("p90 %g, want %g", p90, want)
-	}
-}

@@ -162,9 +162,6 @@ func (g *Generator) NextInterArrival(now sim.Time) sim.Time {
 	return g.arr.NextInterArrival(now)
 }
 
-// Arrival exposes the generator's arrival process.
-func (g *Generator) Arrival() ArrivalProcess { return g.arr }
-
 // rateAt is the modulated arrival rate (jobs/hour) at time t.
 func (g *Generator) rateAt(t sim.Time) float64 { return g.env.Rate(t) }
 

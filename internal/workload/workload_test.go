@@ -5,7 +5,6 @@ import (
 	"sort"
 	"testing"
 
-	"repro/internal/dist"
 	"repro/internal/rng"
 	"repro/internal/scheduler"
 	"repro/internal/sim"
@@ -404,16 +403,6 @@ func TestKillOutcomesRoughlyCalibrated(t *testing.T) {
 	frac := float64(killed) / float64(parentless)
 	if frac < 0.25 || frac > 0.55 {
 		t.Fatalf("parentless kill fraction %v, want ~0.41", frac)
-	}
-}
-
-func TestSolveBoundedParetoL(t *testing.T) {
-	for _, target := range []float64{0.01, 0.5, 3, 25} {
-		l := SolveBoundedParetoL(0.69, 1000, target)
-		got := (dist.BoundedPareto{L: l, H: 1000, Alpha: 0.69}).Mean()
-		if math.Abs(got-target)/target > 0.02 {
-			t.Fatalf("target mean %v: solved L %v gives mean %v", target, l, got)
-		}
 	}
 }
 
