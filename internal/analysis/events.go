@@ -14,12 +14,13 @@ type Transition struct {
 }
 
 // TransitionCounts tallies consecutive event-type pairs; the key is
-// {from, to}.
-type TransitionCounts map[[2]string]int
+// {from, to}. Names are resolved only in TransitionsFromCounts, so
+// counting an edge hashes two integers, not two strings.
+type TransitionCounts map[[2]trace.EventType]int
 
 // Observe counts one edge.
 func (c TransitionCounts) Observe(from, to trace.EventType) {
-	c[[2]string{from.String(), to.String()}]++
+	c[[2]trace.EventType{from, to}]++
 }
 
 // TransitionsFromCounts sorts a tally into Figure 7's edge list (count
@@ -27,7 +28,7 @@ func (c TransitionCounts) Observe(from, to trace.EventType) {
 func TransitionsFromCounts(counts TransitionCounts) []Transition {
 	out := make([]Transition, 0, len(counts))
 	for k, n := range counts {
-		out = append(out, Transition{From: k[0], To: k[1], Count: n})
+		out = append(out, Transition{From: k[0].String(), To: k[1].String(), Count: n})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Count != out[j].Count {
@@ -337,6 +338,8 @@ func FinishDelays(enable map[trace.CollectionID]sim.Time, tier map[trace.Collect
 }
 
 // MergeSamplesBy concatenates per-cell keyed sample groups in cell order.
+// Every returned slice is freshly allocated, so the caller may sort or
+// modify it without touching the cells' samples.
 func MergeSamplesBy[K comparable](cells []map[K][]float64) map[K][]float64 {
 	out := make(map[K][]float64)
 	for _, c := range cells {

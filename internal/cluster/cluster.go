@@ -6,6 +6,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/rng"
@@ -254,8 +255,11 @@ func (m *Machine) FitsLimit(request trace.Resources, policy OvercommitPolicy) bo
 type Cell struct {
 	Name string
 
-	machines map[trace.MachineID]*Machine
-	ids      []trace.MachineID // sorted, kept in sync with machines
+	// byID indexes machines by ID; a removed machine's entry is nil.
+	// IDs are dense from 1 and never reused, so entry 0 is always nil.
+	byID []*Machine
+	// live lists the live machines in ascending ID order.
+	live []*Machine
 	// occ lists machines that currently hold at least one resident, in
 	// ascending ID order. Place/Remove maintain it on the 0↔1 resident
 	// transitions so per-window sampling walks only occupied machines.
@@ -267,9 +271,9 @@ type Cell struct {
 // NewCell returns an empty cell.
 func NewCell(name string) *Cell {
 	return &Cell{
-		Name:     name,
-		machines: make(map[trace.MachineID]*Machine),
-		nextID:   1,
+		Name:   name,
+		byID:   []*Machine{nil},
+		nextID: 1,
 	}
 }
 
@@ -282,8 +286,8 @@ func (c *Cell) AddMachine(capacity trace.Resources, platform string) *Machine {
 		residents: make(map[trace.InstanceKey]*Resident),
 	}
 	c.nextID++
-	c.machines[m.ID] = m
-	c.ids = append(c.ids, m.ID)
+	c.byID = append(c.byID, m)
+	c.live = append(c.live, m)
 	c.capacity = c.capacity.Add(capacity)
 	return m
 }
@@ -291,36 +295,53 @@ func (c *Cell) AddMachine(capacity trace.Resources, platform string) *Machine {
 // RemoveMachine deletes a machine from the cell and returns its residents
 // (which the caller must reschedule). Removing an unknown machine panics.
 func (c *Cell) RemoveMachine(id trace.MachineID) []*Resident {
-	m, ok := c.machines[id]
-	if !ok {
+	m := c.Machine(id)
+	if m == nil {
 		panic(fmt.Sprintf("cluster: removing unknown machine %d", id))
 	}
 	res := m.Residents()
 	for _, r := range res {
 		c.Remove(id, r.Key)
 	}
-	delete(c.machines, id)
-	// ids is sorted ascending (AddMachine appends monotonically increasing
+	c.byID[id] = nil
+	// live is sorted by ID (AddMachine appends monotonically increasing
 	// IDs and removals preserve order), so the slot is found by binary
 	// search rather than a linear scan.
-	if i := sort.Search(len(c.ids), func(i int) bool { return c.ids[i] >= id }); i < len(c.ids) && c.ids[i] == id {
-		c.ids = append(c.ids[:i], c.ids[i+1:]...)
-	}
+	i := sort.Search(len(c.live), func(i int) bool { return c.live[i].ID >= id })
+	c.live = slices.Delete(c.live, i, i+1)
 	c.capacity = c.capacity.Sub(m.Capacity)
 	return res
 }
 
-// Machine returns the machine with the given ID, or nil.
-func (c *Cell) Machine(id trace.MachineID) *Machine { return c.machines[id] }
+// Machine returns the machine with the given ID, or nil if there is no
+// live machine with that ID.
+func (c *Cell) Machine(id trace.MachineID) *Machine {
+	if id <= 0 || int(id) >= len(c.byID) {
+		return nil
+	}
+	return c.byID[id]
+}
 
 // NumMachines returns the count of live machines.
-func (c *Cell) NumMachines() int { return len(c.machines) }
+func (c *Cell) NumMachines() int { return len(c.live) }
 
 // Capacity returns the total live capacity of the cell.
 func (c *Cell) Capacity() trace.Resources { return c.capacity }
 
-// MachineIDs returns the live machine IDs in ascending order.
-func (c *Cell) MachineIDs() []trace.MachineID { return c.ids }
+// MachineIDs returns a fresh slice of the live machine IDs in ascending
+// order.
+func (c *Cell) MachineIDs() []trace.MachineID {
+	ids := make([]trace.MachineID, len(c.live))
+	for i, m := range c.live {
+		ids[i] = m.ID
+	}
+	return ids
+}
+
+// LiveMachines returns the live machines in ascending ID order. The slice
+// is the cell's live index: callers must not modify it or retain it
+// across machine additions or removals.
+func (c *Cell) LiveMachines() []*Machine { return c.live }
 
 // OccupiedMachines returns the machines holding at least one resident,
 // in ascending ID order. The slice is the cell's live index: callers
@@ -350,8 +371,8 @@ func (c *Cell) vacate(m *Machine) {
 
 // Machines calls fn for every live machine in ID order.
 func (c *Cell) Machines(fn func(m *Machine)) {
-	for _, id := range c.ids {
-		fn(c.machines[id])
+	for _, m := range c.live {
+		fn(m)
 	}
 }
 
@@ -359,8 +380,8 @@ func (c *Cell) Machines(fn func(m *Machine)) {
 // duplicate placement — both indicate scheduler bugs, not runtime
 // conditions.
 func (c *Cell) Place(id trace.MachineID, r *Resident) {
-	m, ok := c.machines[id]
-	if !ok {
+	m := c.Machine(id)
+	if m == nil {
 		panic(fmt.Sprintf("cluster: placing on unknown machine %d", id))
 	}
 	if _, dup := m.residents[r.Key]; dup {
@@ -378,8 +399,8 @@ func (c *Cell) Place(id trace.MachineID, r *Resident) {
 // Remove detaches a resident from a machine and returns it. Removing a
 // non-resident instance panics.
 func (c *Cell) Remove(id trace.MachineID, key trace.InstanceKey) *Resident {
-	m, ok := c.machines[id]
-	if !ok {
+	m := c.Machine(id)
+	if m == nil {
 		panic(fmt.Sprintf("cluster: removing from unknown machine %d", id))
 	}
 	r, ok := m.residents[key]
@@ -400,8 +421,8 @@ func (c *Cell) Remove(id trace.MachineID, key trace.InstanceKey) *Resident {
 // UpdateLimit changes a resident's limit in place, keeping the machine's
 // allocation aggregate consistent. Used by Autopilot's vertical scaling.
 func (c *Cell) UpdateLimit(id trace.MachineID, key trace.InstanceKey, limit trace.Resources) {
-	m, ok := c.machines[id]
-	if !ok {
+	m := c.Machine(id)
+	if m == nil {
 		panic(fmt.Sprintf("cluster: updating on unknown machine %d", id))
 	}
 	r, ok := m.residents[key]
@@ -418,8 +439,8 @@ func (c *Cell) UpdateLimit(id trace.MachineID, key trace.InstanceKey, limit trac
 // TotalAllocated sums limit allocation across all machines.
 func (c *Cell) TotalAllocated() trace.Resources {
 	var sum trace.Resources
-	for _, id := range c.ids {
-		sum = sum.Add(c.machines[id].allocated)
+	for _, m := range c.live {
+		sum = sum.Add(m.allocated)
 	}
 	return sum
 }

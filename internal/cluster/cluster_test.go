@@ -427,3 +427,77 @@ func TestAllocationConsistencyProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestMachineIndexEdgeCases pins the ID-indexed machine lookup at its
+// edges: IDs that never existed or were removed resolve to nil, mutators
+// on a removed machine panic with the unknown-machine messages, and the
+// ID list, live-machine list and the aggregates that walk them agree
+// after interleaved adds and removes.
+func TestMachineIndexEdgeCases(t *testing.T) {
+	c := NewCell("test")
+	if c.Machine(0) != nil || c.Machine(1) != nil {
+		t.Fatal("empty cell resolved a machine")
+	}
+	var added []*Machine
+	for i := 0; i < 6; i++ {
+		added = append(added, c.AddMachine(res(0.5, 0.5), "P0"))
+	}
+	key := trace.InstanceKey{Collection: 1}
+	c.Place(added[2].ID, &Resident{Key: key, Limit: res(0.1, 0.1)})
+	c.RemoveMachine(added[2].ID)
+	c.RemoveMachine(added[0].ID)
+	added = append(added, c.AddMachine(res(1, 1), "P1"))
+	c.Place(added[4].ID, &Resident{Key: key, Limit: res(0.25, 0.25)})
+	c.Place(added[6].ID, &Resident{Key: trace.InstanceKey{Collection: 2}, Limit: res(0.5, 0.125)})
+	c.RemoveMachine(added[5].ID)
+
+	last := added[len(added)-1].ID
+	for _, id := range []trace.MachineID{0, -1, last + 1, 1 << 30, added[0].ID, added[2].ID, added[5].ID} {
+		if c.Machine(id) != nil {
+			t.Errorf("Machine(%d) = non-nil, want nil", id)
+		}
+	}
+	removed := added[2].ID
+	for _, tc := range []struct {
+		name, want string
+		f          func()
+	}{
+		{"Place", "cluster: placing on unknown machine 3", func() { c.Place(removed, &Resident{Key: key}) }},
+		{"Remove", "cluster: removing from unknown machine 3", func() { c.Remove(removed, key) }},
+		{"UpdateLimit", "cluster: updating on unknown machine 3", func() { c.UpdateLimit(removed, key, res(0, 0)) }},
+		{"RemoveMachine", "cluster: removing unknown machine 3", func() { c.RemoveMachine(removed) }},
+	} {
+		func() {
+			defer func() {
+				if got := recover(); got != tc.want {
+					t.Errorf("%s on removed machine: panic %v, want %q", tc.name, got, tc.want)
+				}
+			}()
+			tc.f()
+		}()
+	}
+
+	wantIDs := []trace.MachineID{added[1].ID, added[3].ID, added[4].ID, added[6].ID}
+	ids := c.MachineIDs()
+	live := c.LiveMachines()
+	if len(ids) != len(wantIDs) || len(live) != len(wantIDs) || c.NumMachines() != len(wantIDs) {
+		t.Fatalf("ids %v, %d live, NumMachines %d, want %v", ids, len(live), c.NumMachines(), wantIDs)
+	}
+	var walked []trace.MachineID
+	var sum trace.Resources
+	c.Machines(func(m *Machine) {
+		walked = append(walked, m.ID)
+		sum = sum.Add(m.Allocated())
+	})
+	for i, id := range wantIDs {
+		if ids[i] != id || live[i].ID != id || walked[i] != id || c.Machine(id) != live[i] {
+			t.Fatalf("position %d: ids %v, live %d, walked %v, want %d", i, ids, live[i].ID, walked, id)
+		}
+	}
+	if got := c.TotalAllocated(); got != sum || got != res(0.75, 0.375) {
+		t.Fatalf("TotalAllocated %v, Machines sum %v, want %v", got, sum, res(0.75, 0.375))
+	}
+	if got := c.Capacity(); got != res(2.5, 2.5) {
+		t.Fatalf("capacity %v, want %v", got, res(2.5, 2.5))
+	}
+}

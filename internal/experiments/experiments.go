@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"io"
 	"path/filepath"
+	"sort"
 
 	"repro/internal/analysis"
 	"repro/internal/analysis/streaming"
@@ -533,6 +534,8 @@ func (s *Suite) writeFigure11(w io.Writer) error {
 	for i, c := range c2019 {
 		cells[i] = c.TasksPerJob()
 	}
+	// MergeSamplesBy returns fresh slices, so sorting them in place
+	// leaves the reducers' samples untouched.
 	tpj := analysis.MergeSamplesBy(cells)
 	rows := make([][]string, 0, len(tpj))
 	for _, tier := range trace.Tiers() {
@@ -540,11 +543,12 @@ func (s *Suite) writeFigure11(w io.Writer) error {
 		if len(xs) == 0 {
 			continue
 		}
+		sort.Float64s(xs)
 		rows = append(rows, []string{
 			tier.String(),
-			report.F(stats.Quantile(xs, 0.80)),
-			report.F(stats.Quantile(xs, 0.95)),
-			report.F(stats.Quantile(xs, 0.99)),
+			report.F(stats.QuantileSorted(xs, 0.80)),
+			report.F(stats.QuantileSorted(xs, 0.95)),
+			report.F(stats.QuantileSorted(xs, 0.99)),
 			fmt.Sprint(len(xs)),
 		})
 	}
@@ -601,6 +605,7 @@ func (s *Suite) writeFigure14(w io.Writer) error {
 	for i, c := range c2019 {
 		cells[i] = c.SlackSamples()
 	}
+	// Fresh slices, as in writeFigure11: each is sorted once in place.
 	slack := analysis.MergeSamplesBy(cells)
 	rows := make([][]string, 0, 3)
 	for _, mode := range []trace.VerticalScaling{trace.ScalingFull, trace.ScalingConstrained, trace.ScalingNone} {
@@ -608,11 +613,12 @@ func (s *Suite) writeFigure14(w io.Writer) error {
 		if len(xs) == 0 {
 			continue
 		}
+		sort.Float64s(xs)
 		rows = append(rows, []string{
 			mode.String(),
-			report.F(stats.Quantile(xs, 0.25)),
-			report.F(stats.Quantile(xs, 0.5)),
-			report.F(stats.Quantile(xs, 0.75)),
+			report.F(stats.QuantileSorted(xs, 0.25)),
+			report.F(stats.QuantileSorted(xs, 0.5)),
+			report.F(stats.QuantileSorted(xs, 0.75)),
 			fmt.Sprint(len(xs)),
 		})
 	}

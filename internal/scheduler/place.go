@@ -49,13 +49,13 @@ func (s *Scheduler) attemptPlacement(t *Task, now sim.Time) {
 // identical whether or not the cache hits, so caching cannot perturb the
 // deterministic trace.
 func (s *Scheduler) pickMachine(t *Task) *cluster.Machine {
-	ids := s.cell.MachineIDs()
-	if len(ids) == 0 {
+	live := s.cell.LiveMachines()
+	if len(live) == 0 {
 		return nil
 	}
 	k := s.cfg.CandidateSample
-	if k > len(ids) {
-		k = len(ids)
+	if k > len(live) {
+		k = len(live)
 	}
 	var class uint32 // interned lazily: RandomFit never needs it
 	var best *cluster.Machine
@@ -65,8 +65,8 @@ func (s *Scheduler) pickMachine(t *Task) *cluster.Machine {
 	// adds O(1) atomics to the fast path.
 	var hits, misses int64
 	for i := 0; i < k; i++ {
-		m := s.cell.Machine(ids[s.src.Intn(len(ids))])
-		if m == nil || !m.FitsLimit(t.Request, s.cfg.Overcommit) {
+		m := live[s.src.Intn(len(live))]
+		if !m.FitsLimit(t.Request, s.cfg.Overcommit) {
 			continue
 		}
 		// Usage-aware feasibility: do not stack onto a machine whose
@@ -213,13 +213,13 @@ func (s *Scheduler) placeInAlloc(t *Task, now sim.Time) {
 // evict lower-tier jobs in order to ensure production tier jobs receive
 // their expected level of service").
 func (s *Scheduler) tryPreemption(t *Task) *cluster.Machine {
-	ids := s.cell.MachineIDs()
-	if len(ids) == 0 {
+	live := s.cell.LiveMachines()
+	if len(live) == 0 {
 		return nil
 	}
 	k := s.cfg.CandidateSample
-	if k > len(ids) {
-		k = len(ids)
+	if k > len(live) {
+		k = len(live)
 	}
 	type plan struct {
 		m       *cluster.Machine
@@ -228,10 +228,7 @@ func (s *Scheduler) tryPreemption(t *Task) *cluster.Machine {
 	}
 	var best *plan
 	for i := 0; i < k; i++ {
-		m := s.cell.Machine(ids[s.src.Intn(len(ids))])
-		if m == nil {
-			continue
-		}
+		m := live[s.src.Intn(len(live))]
 		ceiling := m.Ceiling(s.cfg.Overcommit)
 		need := m.Allocated().Add(t.Request).Sub(ceiling)
 		if need.CPU <= 0 && need.Mem <= 0 {

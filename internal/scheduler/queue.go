@@ -1,10 +1,6 @@
 package scheduler
 
-import (
-	"container/heap"
-
-	"repro/internal/sim"
-)
+import "repro/internal/sim"
 
 // taskHeap orders pending tasks by (priority desc, enqueue sequence asc):
 // strongest tier first, FIFO within a priority. A policy implementing
@@ -12,6 +8,11 @@ import (
 // either ordering break by enqueue sequence rather than a timestamp, so
 // bursts of tasks arriving in the same simulation instant still pop
 // deterministically.
+//
+// It is a 4-ary min-heap over tasks (entry i's children are
+// 4i+1..4i+4) under Less. enqueueSeq is unique and a queued task's
+// priority never changes, so the order is total and the pop sequence is
+// the same for any correct heap.
 type taskHeap struct {
 	tasks []*Task
 	// less is the optional QueueOrderer hook; nil selects the default
@@ -21,8 +22,10 @@ type taskHeap struct {
 
 func (h *taskHeap) Len() int { return len(h.tasks) }
 
-func (h *taskHeap) Less(i, j int) bool {
-	a, b := h.tasks[i], h.tasks[j]
+// Less reports whether tasks[i] pops before tasks[j].
+func (h *taskHeap) Less(i, j int) bool { return h.before(h.tasks[i], h.tasks[j]) }
+
+func (h *taskHeap) before(a, b *Task) bool {
 	if h.less != nil {
 		if h.less(a, b) {
 			return true
@@ -36,17 +39,51 @@ func (h *taskHeap) Less(i, j int) bool {
 	return a.enqueueSeq < b.enqueueSeq
 }
 
-func (h *taskHeap) Swap(i, j int) { h.tasks[i], h.tasks[j] = h.tasks[j], h.tasks[i] }
+// push adds t and sifts it toward the root.
+func (h *taskHeap) push(t *Task) {
+	h.tasks = append(h.tasks, t)
+	i := len(h.tasks) - 1
+	for i > 0 {
+		p := (i - 1) / 4
+		if !h.before(t, h.tasks[p]) {
+			break
+		}
+		h.tasks[i] = h.tasks[p]
+		i = p
+	}
+	h.tasks[i] = t
+}
 
-func (h *taskHeap) Push(x any) { h.tasks = append(h.tasks, x.(*Task)) }
-
-func (h *taskHeap) Pop() any {
-	old := h.tasks
-	n := len(old)
-	t := old[n-1]
-	old[n-1] = nil
-	h.tasks = old[:n-1]
-	return t
+// pop removes and returns the first task; the heap must not be empty.
+func (h *taskHeap) pop() *Task {
+	top := h.tasks[0]
+	n := len(h.tasks) - 1
+	t := h.tasks[n]
+	h.tasks[n] = nil
+	h.tasks = h.tasks[:n]
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for {
+		c := 4*i + 1
+		if c >= n {
+			break
+		}
+		best := c
+		for j, end := c+1, min(c+4, n); j < end; j++ {
+			if h.before(h.tasks[j], h.tasks[best]) {
+				best = j
+			}
+		}
+		if !h.before(h.tasks[best], t) {
+			break
+		}
+		h.tasks[i] = h.tasks[best]
+		i = best
+	}
+	h.tasks[i] = t
+	return top
 }
 
 // enqueue adds a task to the pending queue and pokes the scheduling server.
@@ -55,7 +92,7 @@ func (s *Scheduler) enqueue(t *Task) {
 	s.accountBEB(t)
 	t.enqueueSeq = s.seq
 	s.seq++
-	heap.Push(&s.pending, t)
+	s.pending.push(t)
 	s.met.pendingQueue.Set(float64(s.pending.Len()))
 	s.kick()
 }
@@ -83,7 +120,7 @@ func (s *Scheduler) kick() {
 // serveOne pops the strongest pending task and attempts placement.
 func (s *Scheduler) serveOne(now sim.Time) {
 	for s.pending.Len() > 0 {
-		t := heap.Pop(&s.pending).(*Task)
+		t := s.pending.pop()
 		if t.State != TaskPending || t.Job.State == JobDone {
 			continue // withdrawn (killed) while queued
 		}

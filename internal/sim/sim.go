@@ -12,7 +12,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"time"
 )
@@ -78,11 +77,28 @@ func (r EventRef) IsZero() bool { return r.gen == 0 }
 
 // eventSlot is one pooled event record in the kernel's slab.
 type eventSlot struct {
-	due  Time
-	seq  uint64 // tie-break: FIFO among equal times
 	gen  uint32 // bumped on every recycle; stale EventRefs mismatch
 	pos  int32  // index into Kernel.order, -1 when not queued
 	fire func(now Time)
+}
+
+// queued is one entry of the kernel's event heap. The ordering key is
+// held inline, so sifting compares adjacent heap memory instead of
+// chasing slot indices into the slab.
+type queued struct {
+	due  Time
+	seq  uint64 // tie-break: FIFO among equal times
+	slot uint32
+}
+
+// before is the heap order: earlier due first, then scheduling order.
+// seq is unique, so the order is total and every correct heap pops the
+// same sequence.
+func (a *queued) before(b *queued) bool {
+	if a.due != b.due {
+		return a.due < b.due
+	}
+	return a.seq < b.seq
 }
 
 // Kernel is a single-threaded discrete-event simulator. It is not safe for
@@ -94,7 +110,7 @@ type Kernel struct {
 	now    Time
 	slots  []eventSlot
 	free   []uint32 // recycled slot ids
-	order  []uint32 // slot ids, heap-ordered by (due, seq)
+	order  []queued // 4-ary min-heap by (due, seq)
 	seq    uint64
 	events uint64 // fired events, for stats
 }
@@ -149,35 +165,68 @@ func (k *Kernel) release(id uint32) {
 	k.free = append(k.free, id)
 }
 
-// heapOrder implements container/heap over the kernel's order slice,
-// keeping each slot's pos index in sync so Cancel can remove mid-heap
+// The event queue is a 4-ary min-heap over order: entry i's children
+// are 4i+1..4i+4. A wider node halves the depth of a binary heap, and
+// the four children are 96 contiguous bytes. Every move stores the
+// entry's new index in its slot's pos, so Cancel removes mid-heap
 // entries in O(log n).
-type heapOrder Kernel
 
-func (h *heapOrder) Len() int { return len(h.order) }
-func (h *heapOrder) Less(i, j int) bool {
-	a, b := &h.slots[h.order[i]], &h.slots[h.order[j]]
-	if a.due != b.due {
-		return a.due < b.due
+// place writes e at index i and records the position in its slot.
+func (k *Kernel) place(i int, e queued) {
+	k.order[i] = e
+	k.slots[e.slot].pos = int32(i)
+}
+
+// up sifts the entry at i toward the root.
+func (k *Kernel) up(i int) {
+	e := k.order[i]
+	for i > 0 {
+		p := (i - 1) / 4
+		if !e.before(&k.order[p]) {
+			break
+		}
+		k.place(i, k.order[p])
+		i = p
 	}
-	return a.seq < b.seq
+	k.place(i, e)
 }
-func (h *heapOrder) Swap(i, j int) {
-	h.order[i], h.order[j] = h.order[j], h.order[i]
-	h.slots[h.order[i]].pos = int32(i)
-	h.slots[h.order[j]].pos = int32(j)
+
+// down sifts the entry at i toward the leaves and reports whether it
+// moved.
+func (k *Kernel) down(i int) bool {
+	e := k.order[i]
+	start, n := i, len(k.order)
+	for {
+		c := 4*i + 1
+		if c >= n {
+			break
+		}
+		best := c
+		for j, end := c+1, min(c+4, n); j < end; j++ {
+			if k.order[j].before(&k.order[best]) {
+				best = j
+			}
+		}
+		if !k.order[best].before(&e) {
+			break
+		}
+		k.place(i, k.order[best])
+		i = best
+	}
+	k.place(i, e)
+	return i != start
 }
-func (h *heapOrder) Push(x any) {
-	id := x.(uint32)
-	h.slots[id].pos = int32(len(h.order))
-	h.order = append(h.order, id)
-}
-func (h *heapOrder) Pop() any {
-	n := len(h.order)
-	id := h.order[n-1]
-	h.order = h.order[:n-1]
-	h.slots[id].pos = -1
-	return id
+
+// remove takes the entry at i out of the heap.
+func (k *Kernel) remove(i int) {
+	last := len(k.order) - 1
+	if i != last {
+		k.order[i] = k.order[last]
+	}
+	k.order = k.order[:last]
+	if i != last && !k.down(i) {
+		k.up(i)
+	}
 }
 
 // At schedules fire to run at the absolute time due. Scheduling in the past
@@ -188,11 +237,10 @@ func (k *Kernel) At(due Time, fire func(now Time)) EventRef {
 	}
 	id := k.alloc()
 	s := &k.slots[id]
-	s.due = due
-	s.seq = k.seq
 	s.fire = fire
+	k.order = append(k.order, queued{due: due, seq: k.seq, slot: id})
 	k.seq++
-	heap.Push((*heapOrder)(k), id)
+	k.up(len(k.order) - 1)
 	return EventRef{slot: id, gen: s.gen}
 }
 
@@ -210,7 +258,7 @@ func (k *Kernel) Cancel(r EventRef) {
 	if !k.Scheduled(r) {
 		return
 	}
-	heap.Remove((*heapOrder)(k), int(k.slots[r.slot].pos))
+	k.remove(int(k.slots[r.slot].pos))
 	k.release(r.slot)
 }
 
@@ -220,11 +268,12 @@ func (k *Kernel) Step() bool {
 	if len(k.order) == 0 {
 		return false
 	}
-	id := heap.Pop((*heapOrder)(k)).(uint32)
-	s := &k.slots[id]
-	k.now = s.due
+	top := k.order[0]
+	k.remove(0)
+	k.now = top.due
 	k.events++
-	fire := s.fire
+	id := top.slot
+	fire := k.slots[id].fire
 	// Recycle before firing so a callback canceling its own ref (or
 	// scheduling into the freed slot) behaves.
 	k.release(id)
@@ -236,7 +285,7 @@ func (k *Kernel) Step() bool {
 // later than end; the clock is then advanced to end. Events scheduled by
 // callbacks during the run are honored.
 func (k *Kernel) RunUntil(end Time) {
-	for len(k.order) > 0 && k.slots[k.order[0]].due <= end {
+	for len(k.order) > 0 && k.order[0].due <= end {
 		k.Step()
 	}
 	if k.now < end {

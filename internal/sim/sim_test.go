@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 	"time"
@@ -287,15 +288,28 @@ func TestOrderingProperty(t *testing.T) {
 	}
 }
 
+// BenchmarkKernelThroughput measures one Step, whose callback schedules
+// a replacement event 1–1024 µs ahead, at a fixed number of pending
+// events. 64 is a shallow queue; 3000 matches suite-stream's kernel
+// depth (sim.pending_p99 of 3,007).
 func BenchmarkKernelThroughput(b *testing.B) {
-	k := NewKernel()
-	var reschedule func(now Time)
-	reschedule = func(now Time) { k.After(1, reschedule) }
-	for i := 0; i < 64; i++ {
-		k.After(Time(i), reschedule)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		k.Step()
+	for _, depth := range []int{64, 3000} {
+		b.Run(fmt.Sprintf("pending=%d", depth), func(b *testing.B) {
+			k := NewKernel()
+			x := uint64(1)
+			var reschedule func(now Time)
+			reschedule = func(now Time) {
+				x = x*6364136223846793005 + 1442695040888963407
+				k.After(Time(1+x>>54), reschedule)
+			}
+			for i := 0; i < depth; i++ {
+				k.After(Time(i), reschedule)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				k.Step()
+			}
+		})
 	}
 }
