@@ -130,9 +130,9 @@ func BenchmarkLargeCellSuite(b *testing.B) {
 	b.ReportMetric(float64(peak)/1e6, "peak-heap-MB")
 }
 
-// BenchmarkStreamingSuite is BenchmarkLargeCellSuite with NoMemTrace:
-// the same nine cells, but every row folds through a streaming reducer
-// and is dropped, and the full report renders from reducer state. The
+// BenchmarkStreamingSuite is BenchmarkLargeCellSuite with a streaming
+// reducer as each cell's sink in place of a MemTrace: the same nine
+// cells, but every row folds through the reducer and is dropped, and the full report renders from reducer state. The
 // interesting metric is peak-heap-MB next to the retained twin's — trace
 // retention, not simulation state, dominates the retained peak.
 func BenchmarkStreamingSuite(b *testing.B) {
@@ -154,8 +154,8 @@ func BenchmarkStreamingSuite(b *testing.B) {
 
 // BenchmarkManyCellSuite is the warehouse-scale smoke benchmark: it
 // simulates a fleet of 54 small 2019 cells (profiles sampled round-robin
-// from the paper's a–h set) in one engine run with NoMemTrace and one
-// streaming reducer per cell — the shape a many-cell fleet study takes.
+// from the paper's a–h set) in one engine run with one streaming reducer
+// per cell as its only sink — the shape a many-cell fleet study takes.
 // Peak heap must stay under the same 1536 MB ceiling the CI streaming
 // guard enforces: per-cell memory is bounded reducer state, so the fleet
 // footprint grows with cells, not with rows. The run takes tens of
@@ -180,12 +180,9 @@ func BenchmarkManyCellSuite(b *testing.B) {
 				Cells: cells,
 				Spec: func(c int) engine.Spec {
 					p := workload.Profile2019(names[c%len(names)], machines)
-					spec := engine.NewSpec(c, p, core.Options{
-						Horizon:    2 * sim.Hour,
-						NoMemTrace: true,
-					}, 29)
+					spec := engine.NewSpec(c, p, core.Options{Horizon: 2 * sim.Hour}, 29)
 					reducers[c] = experiments.NewCellReducerFor(spec)
-					spec.Options.ExtraSinks = []trace.Sink{reducers[c]}
+					spec.Options.Sinks = []trace.Sink{reducers[c]}
 					return spec
 				},
 				OnResult: func(_ int, res *core.CellResult) { rows += res.Rows.Total() },
@@ -271,9 +268,11 @@ func BenchmarkAblationPlacement(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				p := workload.Profile2019("a", 60)
 				p.Policy = policy.value
-				res := core.Run(p, core.Options{Horizon: 4 * sim.Hour, Seed: 3})
-				cpu, _ := streaming.Replay(res.Trace,
-					streaming.Config{Meta: res.Trace.Meta, SnapshotAt: 3 * sim.Hour}).MachineUtilization()
+				opts := core.Options{Horizon: 4 * sim.Hour, Seed: 3}
+				red := streaming.NewCellReducer(streaming.Config{Meta: core.TraceMeta(p, opts), SnapshotAt: 3 * sim.Hour})
+				opts.Sinks = []trace.Sink{red}
+				core.Run(p, opts)
+				cpu, _ := red.MachineUtilization()
 				s := stats.Summarize(cpu)
 				spread = s.Variance
 			}
@@ -319,8 +318,11 @@ func BenchmarkAblationBatchQueue(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				p := workload.Profile2019("b", 60)
 				p.BatchQueue = mode.on
-				res := core.Run(p, core.Options{Horizon: 4 * sim.Hour, Seed: 3})
-				delays := streaming.Replay(res.Trace, streaming.Config{Meta: res.Trace.Meta}).Delays()
+				opts := core.Options{Horizon: 4 * sim.Hour, Seed: 3}
+				red := streaming.NewCellReducer(streaming.Config{Meta: core.TraceMeta(p, opts)})
+				opts.Sinks = []trace.Sink{red}
+				core.Run(p, opts)
+				delays := red.Delays()
 				p99 = stats.Quantile(delays.ByTier[trace.TierBestEffortBatch], 0.99)
 			}
 			b.ReportMetric(p99, "beb-delay-p99-s")
@@ -404,7 +406,7 @@ func miceDelayP90(hogPriority int) float64 {
 
 // BenchmarkSweepSmall is the parameter-sweep macro benchmark gated in
 // CI: a 2-seed × 2-variant sweep of the nine-cell suite at a small
-// scale, streaming reducers only (NoMemTrace), report rendered to
+// scale, streaming reducers only (no trace retained), report rendered to
 // io.Discard. It exercises grid expansion, common-random-numbers
 // seeding, per-spec reducer attachment and cross-seed aggregation — the
 // whole internal/sweep path.

@@ -20,9 +20,12 @@ func TestRunGoldenHash(t *testing.T) {
 		wantHash  = "98ed420424e037e9bd9ab57bc865256b6e49e50392da701d4161e32504b49da8"
 		wantBytes = 2946
 	)
-	res := core.Run(workload.Profile2019("c", 40), core.Options{Horizon: 3 * sim.Hour, Seed: 9})
+	p, opts := workload.Profile2019("c", 40), core.Options{Horizon: 3 * sim.Hour, Seed: 9}
+	retained := trace.NewMemTrace(core.TraceMeta(p, opts))
+	opts.Sinks = []trace.Sink{retained}
+	core.Run(p, opts)
 	dir := filepath.Join(t.TempDir(), "trace-c")
-	if err := trace.WriteDir(res.Trace, dir); err != nil {
+	if err := trace.WriteDir(retained, dir); err != nil {
 		t.Fatal(err)
 	}
 	tr, err := trace.ReadDir(dir)

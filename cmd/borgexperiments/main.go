@@ -10,23 +10,20 @@
 // affects the output of a given build: for the same binary, the same
 // seed yields the same report at every -parallel setting.
 //
-// Memory has a third switch: -stream runs the whole suite with
-// core.Options.NoMemTrace — every trace row is folded online by one
+// No trace is retained: every trace row is folded online by one
 // streaming reducer per cell (internal/analysis/streaming) and then
 // dropped, so resident memory is bounded by per-job reducer state
-// instead of growing with the horizon. Without it the suite retains every
-// trace and replays each through the same reducer when the report is
-// written, so the report is byte-identical either way for the same scale
-// and seed; CI enforces that with a differential test and a peak-heap
-// ceiling. -export DIR
-// additionally writes each cell's trace as sharded CSV (one WriteDir-
-// layout subdirectory per cell) while simulating, through the buffered
-// sink pipeline; it implies -stream.
+// instead of growing with the horizon. The report is byte-identical to
+// the one replayed from retained traces (experiments.RunSuite) for the
+// same scale and seed; CI enforces that with a differential test and a
+// peak-heap ceiling. -export DIR additionally writes each cell's trace
+// as sharded CSV (one WriteDir-layout subdirectory per cell) while
+// simulating, through the buffered sink pipeline.
 //
 // Usage:
 //
 //	borgexperiments [-scale small|default|large] [-seed N] [-parallel N]
-//	                [-policy NAME] [-arrival SPEC] [-stream] [-export DIR]
+//	                [-policy NAME] [-arrival SPEC] [-export DIR]
 //	                [-record-workload DIR] [-replay-workload DIR]
 //	                [-progress] [-o report.txt]
 //	                [-http :6060] [-metrics FILE] [-timeline FILE]
@@ -63,7 +60,6 @@ import (
 	"io"
 	"log"
 	"os"
-	"runtime"
 
 	"repro/internal/cliflags"
 	"repro/internal/experiments"
@@ -74,8 +70,7 @@ func main() {
 	log.SetPrefix("borgexperiments: ")
 	scaleName := flag.String("scale", "default", "simulation scale: small, default or large")
 	common := cliflags.Register(flag.CommandLine, "root random seed")
-	stream := flag.Bool("stream", false, "run with NoMemTrace: fold rows through streaming reducers instead of retaining traces (same report bytes)")
-	export := flag.String("export", "", "write per-cell CSV trace shards to this directory while simulating (implies -stream)")
+	export := flag.String("export", "", "write per-cell CSV trace shards to this directory while simulating")
 	recordDir := flag.String("record-workload", "", "record each cell's generated workload into this directory (one versioned file per cell)")
 	replayDir := flag.String("replay-workload", "", "replay the recorded workloads in this directory instead of generating (see -record-workload)")
 	out := flag.String("o", "", "write the report to this file instead of stdout")
@@ -117,9 +112,6 @@ func main() {
 	sc.Seed = *common.Seed
 	sc.Parallelism = *common.Parallel
 	sc.RunKnobs = obs.Knobs(common.Knobs())
-	if *export != "" {
-		*stream = true
-	}
 	sc.RecordWorkload = *recordDir != ""
 	if *replayDir != "" {
 		recs, err := experiments.LoadWorkloads(*replayDir, sc)
@@ -143,24 +135,10 @@ func main() {
 	fmt.Fprintf(w, "Borg: the Next Generation — reproduction report\n")
 	fmt.Fprintf(w, "scale=%s machines2011=%d machines2019=%dx8 horizon=%v seed=%d\n\n",
 		sc.Name, sc.Machines2011, sc.Machines2019, sc.Horizon, sc.Seed)
-	if *common.Parallel != 1 {
-		effective := sc.Parallelism
-		if effective <= 0 {
-			effective = runtime.GOMAXPROCS(0)
-		}
-		mode := "retained traces"
-		if *stream {
-			mode = "streaming reducers (NoMemTrace)"
-		}
-		log.Printf("simulating 9 cells, parallelism=%d, %s", effective, mode)
-	}
+	log.Printf("simulating 9 cells, parallelism=%d", common.Workers())
 
 	var suite *experiments.Suite
 	rs := obs.MeasureRun(func() {
-		if !*stream {
-			suite = experiments.RunSuite(sc)
-			return
-		}
 		suite, err = experiments.RunSuiteStreaming(sc, experiments.StreamingOptions{ExportDir: *export})
 		if err != nil {
 			log.Fatal(err)

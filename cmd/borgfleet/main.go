@@ -4,7 +4,7 @@
 // pool with bounded memory, and rolled up online into fleet-level
 // cross-cell percentiles (p50/p90/p99 per scalar metric).
 //
-// Every cell runs with NoMemTrace and one streaming reducer; cell specs
+// Every cell's only sink is one streaming reducer; cell specs
 // materialize only as workers pick them up and are released as soon as
 // their scalars fold into the rollup, so peak memory is O(-parallel)
 // cells regardless of fleet size. Cell i of a fleet rooted at -seed R
@@ -42,7 +42,6 @@ import (
 	"io"
 	"log"
 	"os"
-	"runtime"
 
 	"repro/internal/cliflags"
 	"repro/internal/fleet"
@@ -105,12 +104,8 @@ func main() {
 		cfg.OnCell = cellWriter.Cell
 	}
 
-	effective := *common.Parallel
-	if effective <= 0 {
-		effective = runtime.GOMAXPROCS(0)
-	}
 	log.Printf("simulating %d cells (median %d machines, %gh horizon), parallelism %d",
-		*cells, *machines, *hours, effective)
+		*cells, *machines, *hours, common.Workers())
 
 	var rep *fleet.Report
 	rs := obs.MeasureRun(func() {

@@ -3,7 +3,7 @@
 // sample stddev, min/max and a 95% Student-t confidence interval for
 // every sweep metric, plus per-metric CSV exports for plotting.
 //
-// Every grid point simulates with NoMemTrace: each cell's rows fold
+// Every grid point retains no trace: each cell's rows fold
 // through a streaming reducer and are dropped, so even wide sweeps cost
 // reducer state rather than retained traces. The grid is deterministic —
 // same root seed and definition produce byte-identical reports at any
@@ -58,7 +58,6 @@ import (
 	"io"
 	"log"
 	"os"
-	"runtime"
 
 	"repro/internal/cliflags"
 	"repro/internal/experiments"
@@ -131,12 +130,8 @@ func main() {
 		w = f
 	}
 
-	effective := *common.Parallel
-	if effective <= 0 {
-		effective = runtime.GOMAXPROCS(0)
-	}
 	log.Printf("sweeping %d seeds × %d variants × 9 cells at scale %q (%d simulations, parallelism %d, streaming reducers)",
-		*seeds, len(variants), sc.Name, *seeds*len(variants)*9, effective)
+		*seeds, len(variants), sc.Name, *seeds*len(variants)*9, common.Workers())
 
 	var res *sweep.Result
 	rs := obs.MeasureRun(func() {

@@ -69,25 +69,18 @@ func main() {
 // on the same stream. Violations are logged, not returned: the trace is
 // written either way.
 func run(logger *log.Logger, profile *workload.CellProfile, horizon sim.Time, seed uint64, dir string, validate bool) error {
-	ds, err := trace.NewDirSink(dir, trace.Meta{
-		Era: profile.Era, Cell: profile.Name, Duration: horizon,
-		Machines: profile.Machines, Seed: seed,
-	})
+	opts := core.Options{Horizon: horizon, Seed: seed}
+	ds, err := trace.NewDirSink(dir, core.TraceMeta(profile, opts))
 	if err != nil {
 		return err
 	}
-	sinks := []trace.Sink{ds}
+	opts.Sinks = []trace.Sink{ds}
 	var v *trace.Validator
 	if validate {
 		v = trace.NewValidator(trace.DefaultValidateOptions())
-		sinks = append(sinks, v)
+		opts.Sinks = append(opts.Sinks, v)
 	}
-	res := core.Run(profile, core.Options{
-		Horizon:    horizon,
-		Seed:       seed,
-		NoMemTrace: true,
-		ExtraSinks: sinks,
-	})
+	res := core.Run(profile, opts)
 	if err := ds.Close(); err != nil {
 		return err
 	}

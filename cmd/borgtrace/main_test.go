@@ -32,8 +32,11 @@ func TestRunMatchesRetainedWrite(t *testing.T) {
 	if !strings.Contains(logs.String(), "validator: all invariants hold") {
 		t.Fatalf("no validator verdict in the log:\n%s", logs.String())
 	}
-	res := core.Run(profile, core.Options{Horizon: horizon, Seed: seed})
-	if err := trace.WriteDir(res.Trace, retained); err != nil {
+	opts := core.Options{Horizon: horizon, Seed: seed}
+	mem := trace.NewMemTrace(core.TraceMeta(profile, opts))
+	opts.Sinks = []trace.Sink{mem}
+	core.Run(profile, opts)
+	if err := trace.WriteDir(mem, retained); err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"meta.json", "collection_events.csv", "instance_events.csv", "instance_usage.csv", "machine_events.csv"} {

@@ -107,14 +107,16 @@
 // Trace retention, not simulation, used to bound suite horizons: every
 // figure needed a fully retained MemTrace, so memory grew with every
 // usage record and life-cycle event. The streaming reducers invert
-// that: experiments.RunSuiteStreaming runs all nine
-// cells with core.Options.NoMemTrace, each cell's rows folding through
-// one streaming.CellReducer (and, optionally, a sharded CSV export via
-// trace.DirSink) before being dropped. Reducer
+// that. core.Run keeps no rows of its own: each cell's trace goes only
+// to the sinks its caller attaches in core.Options.Sinks, and
+// core.TraceMeta derives the trace metadata those sinks carry.
+// experiments.RunSuiteStreaming gives each of the nine cells one
+// streaming.CellReducer (and, optionally, a sharded CSV export via
+// trace.DirSink), so its rows fold and are dropped. Reducer
 // state grows only with the number of jobs and tasks — the aggregates
 // the figures inherently need — cutting the LargeScale suite's peak heap
 // by ~10x (BENCH_PR4.json). The reducer is the only analysis
-// implementation: experiments.RunSuite retains the traces instead and
+// implementation: experiments.RunSuite attaches a trace.MemTrace instead and
 // renders its report by feeding each through the same reducer with
 // streaming.Replay, which yields the same state as the live stream, so
 // both runs produce byte-identical reports. CI pins this with
@@ -230,7 +232,7 @@
 // machine count, arrival rate, tier mix and diurnal phase all vary
 // per cell — and streams them through one engine worker pool via
 // engine.Run. Specs materialize only as workers pick them up;
-// every cell runs with NoMemTrace plus one streaming.CellReducer, and
+// every cell's only sink is one streaming.CellReducer, and
 // each cell's scalars fold into the fleet rollup (one merging
 // stats.Digest per metric) the moment its in-order result delivers,
 // after which the reducer is released. Peak heap is therefore
@@ -255,7 +257,7 @@
 // admission-ceiling settings, and placement policies from the
 // scheduler zoo — same clusters, same arrivals, different brains),
 // each grid point simulating the full
-// nine-cell suite with one streaming reducer per cell and NoMemTrace —
+// nine-cell suite with one streaming reducer per cell as its only sink —
 // wide sweeps cost reducer state, never retained traces. Grid seeds
 // follow engine.DeriveGridSeed(root, run, cell): they depend only on the
 // replicate and cell, never on the variant list, so all variants of a
@@ -325,7 +327,7 @@
 // The root-level benchmarks (bench_test.go) regenerate each table and
 // figure and measure the engine's parallel speedup; cmd/borgexperiments
 // prints the whole evaluation (-parallel N simulates N cells
-// concurrently without changing a byte of output, -stream folds it
-// through the reducers without retaining a trace). PAPER.md holds the
+// concurrently without changing a byte of output, and every row folds
+// through the reducers without a trace being retained). PAPER.md holds the
 // source paper's abstract and ROADMAP.md the project direction.
 package repro

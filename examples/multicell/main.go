@@ -6,8 +6,8 @@
 // -parallel flag changes only how long that takes, never the numbers.
 //
 // The analysis here is fully streaming: each cell carries one
-// streaming.CellReducer and simulates with NoMemTrace, so no trace is
-// ever retained — every figure below is read from reducer state after
+// streaming.CellReducer as its only sink, so no trace is ever
+// retained — every figure below is read from reducer state after
 // the rows were folded online and dropped. Memory stays bounded no
 // matter the horizon; the numbers are byte-identical to what replaying a
 // retained trace through the same reducer would produce.
@@ -26,6 +26,7 @@ import (
 	"repro/internal/analysis/streaming"
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/experiments"
 	"repro/internal/report"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -45,7 +46,7 @@ func main() {
 	cells := []string{"a", "b", "h"} // the paper's three named extremes
 	reducers := make([]*streaming.CellReducer, len(cells))
 
-	fmt.Printf("simulating cells a (prod-heavy), b (beb-heavy), h (mid-heavy), parallelism=%d, NoMemTrace...\n", *parallel)
+	fmt.Printf("simulating cells a (prod-heavy), b (beb-heavy), h (mid-heavy), parallelism=%d, streaming...\n", *parallel)
 	start := time.Now()
 	var averages []analysis.TierAverages
 	err := engine.Run(engine.Plan{
@@ -54,15 +55,9 @@ func main() {
 		// its own reducer as the only sink.
 		Spec: func(i int) engine.Spec {
 			spec := engine.NewSpec(i, workload.Profile2019(cells[i], machines),
-				core.Options{Horizon: horizon, NoMemTrace: true}, rootSeed)
-			reducers[i] = streaming.NewCellReducer(streaming.Config{
-				Meta: trace.Meta{
-					Era: trace.Era2019, Cell: cells[i], Duration: horizon,
-					Machines: machines, Seed: spec.Options.Seed,
-				},
-				SnapshotAt: horizon / 2,
-			})
-			spec.Options.ExtraSinks = []trace.Sink{reducers[i]}
+				core.Options{Horizon: horizon}, rootSeed)
+			reducers[i] = experiments.NewCellReducerFor(spec)
+			spec.Options.Sinks = []trace.Sink{reducers[i]}
 			return spec
 		},
 		// OnResult streams each cell's analysis in spec order while later

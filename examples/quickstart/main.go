@@ -24,8 +24,10 @@ func main() {
 
 	// A 100-machine cell with cell a's workload mix, simulated for 6 hours.
 	profile := workload.Profile2019("a", 100)
-	res := core.Run(profile, core.Options{Horizon: 6 * sim.Hour, Seed: 42})
-	tr := res.Trace
+	opts := core.Options{Horizon: 6 * sim.Hour, Seed: 42}
+	tr := trace.NewMemTrace(core.TraceMeta(profile, opts))
+	opts.Sinks = []trace.Sink{tr}
+	res := core.Run(profile, opts)
 
 	fmt.Printf("cell %s simulated: %s\n", profile.Name, tr.Counts())
 	fmt.Printf("scheduler stats: %+v\n\n", res.Sched)

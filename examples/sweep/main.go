@@ -7,7 +7,7 @@
 // ending with the paired-difference section: each variant differenced
 // against the baseline replicate by replicate.
 //
-// Every grid point streams through per-cell reducers with NoMemTrace, so
+// Every grid point streams through per-cell reducers and retains no trace, so
 // the simulations cost reducer state, not retained traces, and the
 // grid's common-random-numbers seeding means the variants' differences
 // are not seed noise — which is exactly why the paired 95% intervals

@@ -31,13 +31,14 @@ const snapshotAt = 8 * sim.Hour
 func fixtures(t *testing.T) (*streaming.CellReducer, *streaming.CellReducer) {
 	t.Helper()
 	fixtureOnce.Do(func() {
-		replay := func(tr *trace.MemTrace) *streaming.CellReducer {
+		replay := func(p *workload.CellProfile, opts core.Options) *streaming.CellReducer {
+			tr := trace.NewMemTrace(core.TraceMeta(p, opts))
+			opts.Sinks = []trace.Sink{tr}
+			core.Run(p, opts)
 			return streaming.Replay(tr, streaming.Config{Meta: tr.Meta, SnapshotAt: snapshotAt})
 		}
-		fx2019 = replay(core.Run(workload.Profile2019("a", 150),
-			core.Options{Horizon: 12 * sim.Hour, Seed: 42}).Trace)
-		fx2011 = replay(core.Run(workload.Profile2011(150),
-			core.Options{Horizon: 12 * sim.Hour, Seed: 43}).Trace)
+		fx2019 = replay(workload.Profile2019("a", 150), core.Options{Horizon: 12 * sim.Hour, Seed: 42})
+		fx2011 = replay(workload.Profile2011(150), core.Options{Horizon: 12 * sim.Hour, Seed: 43})
 	})
 	return fx2019, fx2011
 }

@@ -19,9 +19,12 @@ func TestScalarsMatchAccessorDerivation(t *testing.T) {
 	p := workload.Profile2019("b", 40)
 	horizon := 4 * sim.Hour
 	warmup := sim.Hour
-	res := core.Run(p, core.Options{Horizon: horizon, Seed: 11})
-	r := Replay(res.Trace, Config{
-		Meta:       res.Trace.Meta,
+	opts := core.Options{Horizon: horizon, Seed: 11}
+	tr := trace.NewMemTrace(core.TraceMeta(p, opts))
+	opts.Sinks = []trace.Sink{tr}
+	core.Run(p, opts)
+	r := Replay(tr, Config{
+		Meta:       tr.Meta,
 		SnapshotAt: horizon / 2,
 	})
 

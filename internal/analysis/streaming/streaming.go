@@ -1,10 +1,10 @@
 // Package streaming is the repository's one analysis implementation: a
 // CellReducer computes every per-figure analysis of the paper from a
 // cell's trace rows, one row at a time. It is a trace.Sink, fed one of
-// two ways: live, attached via core.Options.ExtraSinks (typically
-// together with NoMemTrace) while the cell simulates, or by Replay from a
-// retained MemTrace. Once the rows are in, its accessors return the
-// per-cell structs package analysis merges across cells.
+// two ways: live, attached via core.Options.Sinks while the cell
+// simulates, or by Replay from a retained MemTrace. Once the rows are
+// in, its accessors return the per-cell structs package analysis merges
+// across cells.
 //
 // # Memory model
 //

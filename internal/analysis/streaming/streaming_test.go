@@ -31,24 +31,21 @@ var (
 	suiteCells []*fixture
 )
 
-func newFixtureReducer(p *workload.CellProfile, horizon sim.Time, seed uint64) *CellReducer {
-	return NewCellReducer(Config{
-		Meta: trace.Meta{
-			Era: p.Era, Cell: p.Name, Duration: horizon,
-			Machines: p.Machines, Seed: seed,
-		},
-		SnapshotAt: horizon / 2,
-	})
+// attachFixture attaches a live reducer and a retaining MemTrace to a
+// cell's options and returns them as the cell's fixture.
+func attachFixture(p *workload.CellProfile, opts *core.Options) *fixture {
+	meta := core.TraceMeta(p, *opts)
+	f := &fixture{tr: trace.NewMemTrace(meta), red: NewCellReducer(Config{Meta: meta, SnapshotAt: meta.Duration / 2}),
+		at: meta.Duration / 2}
+	opts.Sinks = append(opts.Sinks, f.red, f.tr)
+	return f
 }
 
 func runFixture(p *workload.CellProfile, horizon sim.Time, seed uint64) *fixture {
-	red := newFixtureReducer(p, horizon, seed)
-	res := core.Run(p, core.Options{
-		Horizon:    horizon,
-		Seed:       seed,
-		ExtraSinks: []trace.Sink{red},
-	})
-	return &fixture{tr: res.Trace, red: red, at: horizon / 2}
+	opts := core.Options{Horizon: horizon, Seed: seed}
+	f := attachFixture(p, &opts)
+	core.Run(p, opts)
+	return f
 }
 
 func fixtures(t *testing.T) (*fixture, *fixture) {
@@ -72,17 +69,13 @@ func suiteFixtures(t *testing.T) []*fixture {
 		for _, cell := range workload.Cells2019() {
 			profiles = append(profiles, workload.Profile2019(cell, 50))
 		}
-		reducers := make([]*CellReducer, len(profiles))
+		suiteCells = make([]*fixture, len(profiles))
 		err := engine.Run(engine.Plan{
 			Cells: len(profiles),
 			Spec: func(i int) engine.Spec {
 				spec := engine.NewSpec(i, profiles[i], core.Options{Horizon: horizon}, root)
-				reducers[i] = newFixtureReducer(spec.Profile, horizon, spec.Options.Seed)
-				spec.Options.ExtraSinks = []trace.Sink{reducers[i]}
+				suiteCells[i] = attachFixture(spec.Profile, &spec.Options)
 				return spec
-			},
-			OnResult: func(i int, res *core.CellResult) {
-				suiteCells = append(suiteCells, &fixture{tr: res.Trace, red: reducers[i], at: horizon / 2})
 			},
 		})
 		if err != nil {

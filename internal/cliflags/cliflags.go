@@ -15,6 +15,7 @@ package cliflags
 import (
 	"flag"
 	"os"
+	"runtime"
 	"strings"
 
 	"repro/internal/core"
@@ -90,6 +91,15 @@ func (c *Common) Knobs() core.RunKnobs {
 		k.Progress = os.Stderr
 	}
 	return k
+}
+
+// Workers is the -parallel value as the engine applies it: a value
+// <= 0 means GOMAXPROCS.
+func (c *Common) Workers() int {
+	if *c.Parallel > 0 {
+		return *c.Parallel
+	}
+	return runtime.GOMAXPROCS(0)
 }
 
 // StartProfiling starts the -cpuprofile/-memprofile session; callers

@@ -7,13 +7,14 @@
 //
 //	profile := workload.Profile2019("a", 600)
 //	v := trace.NewValidator(trace.DefaultValidateOptions())
-//	res := core.Run(profile, core.Options{Horizon: 48 * sim.Hour, Seed: 1, ExtraSinks: []trace.Sink{v}})
+//	res := core.Run(profile, core.Options{Horizon: 48 * sim.Hour, Seed: 1, Sinks: []trace.Sink{v}})
 //	violations := v.Violations()
 //
-// The retained res.Trace (nil under NoMemTrace) can be written with
-// trace.WriteDir or replayed into any other sink, such as the analysis
-// package's streaming reducer, which regenerates every table and figure
-// of the paper.
+// Run keeps no rows itself: a caller that wants the trace attaches a
+// trace.NewMemTrace(core.TraceMeta(profile, opts)) among the Sinks, then
+// writes it with trace.WriteDir or replays it into any other sink, such
+// as the analysis package's streaming reducer, which regenerates every
+// table and figure of the paper.
 package core
 
 import (
@@ -83,17 +84,12 @@ type Options struct {
 	// Seed is the root seed; every random stream derives from it, so a
 	// (profile, horizon, seed) triple fully determines the trace.
 	Seed uint64
-	// ExtraSinks receive every trace row in addition to the in-memory
-	// store (e.g. streaming analyzers, a trace.DirSink export). They are
-	// driven by this cell's goroutine alone and flushed at the end of the
-	// run, so each must belong to this cell: concurrently simulated cells
-	// get their own sinks.
-	ExtraSinks []trace.Sink
-	// NoMemTrace disables full in-memory trace retention: rows stream
-	// only to ExtraSinks (and the row counter) and CellResult.Trace is
-	// nil. Use for online-analysis or throughput runs where buffering a
-	// whole cell-month of rows is waste.
-	NoMemTrace bool
+	// Sinks receive every trace row as it is emitted (a trace.MemTrace to
+	// retain the trace, streaming reducers, a validator, a DirSink
+	// export); Run keeps no rows of its own. Each is driven by this cell's
+	// goroutine alone and flushed at the end of the run, so concurrently
+	// simulated cells get their own sinks.
+	Sinks []trace.Sink
 	// IDBase offsets collection IDs so multi-cell runs have disjoint ID
 	// spaces.
 	IDBase trace.CollectionID
@@ -125,11 +121,8 @@ type Options struct {
 // CellResult is the outcome of one simulated cell.
 type CellResult struct {
 	Profile *workload.CellProfile
-	// Trace is the retained in-memory trace, nil when Options.NoMemTrace
-	// was set.
-	Trace *trace.MemTrace
-	Sched scheduler.Stats
-	// Rows counts every row emitted, whether or not it was retained.
+	Sched   scheduler.Stats
+	// Rows counts every row emitted.
 	Rows trace.RowCounts
 	// AutopilotUpdates counts limit adjustments issued.
 	AutopilotUpdates int
@@ -138,32 +131,26 @@ type CellResult struct {
 	Workload *workload.Recording
 }
 
-// Run simulates one cell for opts.Horizon and returns its trace.
-func Run(p *workload.CellProfile, opts Options) *CellResult {
+// TraceMeta is the metadata of the trace Run emits for p under opts:
+// the one place a cell's trace.Meta is derived, for the sinks a caller
+// attaches (a retaining MemTrace, a reducer, a DirSink export). A
+// Horizon that is not positive means 24 hours, here and in Run.
+func TraceMeta(p *workload.CellProfile, opts Options) trace.Meta {
 	if opts.Horizon <= 0 {
 		opts.Horizon = 24 * sim.Hour
 	}
+	return trace.Meta{Era: p.Era, Cell: p.Name, Duration: opts.Horizon, Machines: p.Machines, Seed: opts.Seed}
+}
+
+// Run simulates one cell for opts.Horizon, emitting its trace to
+// opts.Sinks.
+func Run(p *workload.CellProfile, opts Options) *CellResult {
+	opts.Horizon = TraceMeta(p, opts).Duration
 	root := rng.New(opts.Seed)
 	k := sim.NewKernel()
 
-	var mem *trace.MemTrace
-	if !opts.NoMemTrace {
-		mem = trace.NewMemTrace(trace.Meta{
-			Era:      p.Era,
-			Cell:     p.Name,
-			Duration: opts.Horizon,
-			Machines: p.Machines,
-			Seed:     opts.Seed,
-		})
-	}
 	counter := &trace.CountingSink{}
-	parts := make([]trace.Sink, 0, 2+len(opts.ExtraSinks))
-	if mem != nil {
-		parts = append(parts, mem)
-	}
-	parts = append(parts, counter)
-	parts = append(parts, opts.ExtraSinks...)
-	sink := trace.FanOut(parts...)
+	sink := trace.FanOut(append([]trace.Sink{counter}, opts.Sinks...)...)
 
 	// Build the cell and announce its machines.
 	cell := cluster.BuildCell(p.Name, p.Machines, p.Shapes, root.Split("machines"))
@@ -328,7 +315,7 @@ func Run(p *workload.CellProfile, opts Options) *CellResult {
 		reg.Counter("trace_rows_machines_total").Add(rows.Machines)
 	}
 
-	res := &CellResult{Profile: p, Trace: mem, Sched: sched.Stats(), Rows: counter.Counts()}
+	res := &CellResult{Profile: p, Sched: sched.Stats(), Rows: counter.Counts()}
 	if ap != nil {
 		res.AutopilotUpdates = ap.Updates()
 	}

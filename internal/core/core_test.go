@@ -8,17 +8,24 @@ import (
 	"repro/internal/workload"
 )
 
+// runRetained runs p under opts with a MemTrace built from TraceMeta
+// attached, and returns the result and the retained trace.
+func runRetained(p *workload.CellProfile, opts Options) (*CellResult, *trace.MemTrace) {
+	tr := trace.NewMemTrace(TraceMeta(p, opts))
+	opts.Sinks = append(opts.Sinks, tr)
+	return Run(p, opts), tr
+}
+
 // smallRun simulates a small 2019 cell; shared across tests via sync once
 // semantics would hide determinism issues, so each test runs its own.
-func smallRun(t *testing.T, seed uint64) *CellResult {
+func smallRun(t *testing.T, seed uint64) (*CellResult, *trace.MemTrace) {
 	t.Helper()
 	p := workload.Profile2019("a", 120)
-	return Run(p, Options{Horizon: 8 * sim.Hour, Seed: seed})
+	return runRetained(p, Options{Horizon: 8 * sim.Hour, Seed: seed})
 }
 
 func TestRunProducesTrace(t *testing.T) {
-	res := smallRun(t, 1)
-	tr := res.Trace
+	res, tr := smallRun(t, 1)
 	if len(tr.MachineEvents) != 120 {
 		t.Fatalf("machine events %d", len(tr.MachineEvents))
 	}
@@ -37,17 +44,16 @@ func TestRunProducesTrace(t *testing.T) {
 }
 
 func TestTraceValidates(t *testing.T) {
-	res := smallRun(t, 2)
-	violations := trace.Validate(res.Trace, trace.DefaultValidateOptions())
+	_, tr := smallRun(t, 2)
+	violations := trace.Validate(tr, trace.DefaultValidateOptions())
 	if len(violations) != 0 {
 		t.Fatalf("%d violations, first: %v", len(violations), violations[0])
 	}
 }
 
 func TestDeterminism(t *testing.T) {
-	a := smallRun(t, 7)
-	b := smallRun(t, 7)
-	ta, tb := a.Trace, b.Trace
+	_, ta := smallRun(t, 7)
+	_, tb := smallRun(t, 7)
 	if len(ta.CollectionEvents) != len(tb.CollectionEvents) ||
 		len(ta.InstanceEvents) != len(tb.InstanceEvents) ||
 		len(ta.UsageRecords) != len(tb.UsageRecords) {
@@ -71,14 +77,14 @@ func TestDeterminism(t *testing.T) {
 }
 
 func TestDifferentSeedsDiffer(t *testing.T) {
-	a := smallRun(t, 1)
-	b := smallRun(t, 99)
-	if len(a.Trace.CollectionEvents) == len(b.Trace.CollectionEvents) &&
-		len(a.Trace.UsageRecords) == len(b.Trace.UsageRecords) {
+	_, a := smallRun(t, 1)
+	_, b := smallRun(t, 99)
+	if len(a.CollectionEvents) == len(b.CollectionEvents) &&
+		len(a.UsageRecords) == len(b.UsageRecords) {
 		// Counts could coincide; compare content of the first events.
 		same := true
-		for i := 0; i < 50 && i < len(a.Trace.CollectionEvents); i++ {
-			if a.Trace.CollectionEvents[i] != b.Trace.CollectionEvents[i] {
+		for i := 0; i < 50 && i < len(a.CollectionEvents); i++ {
+			if a.CollectionEvents[i] != b.CollectionEvents[i] {
 				same = false
 				break
 			}
@@ -90,8 +96,7 @@ func TestDifferentSeedsDiffer(t *testing.T) {
 }
 
 func TestUtilizationInSaneBand(t *testing.T) {
-	res := smallRun(t, 3)
-	tr := res.Trace
+	_, tr := smallRun(t, 3)
 	// Average CPU usage as a fraction of capacity over the second half
 	// of the run (post-warmup) should be meaningful but below 1.
 	var capCPU float64
@@ -114,26 +119,31 @@ func TestUtilizationInSaneBand(t *testing.T) {
 	}
 }
 
-func TestExtraSinksSeeEverything(t *testing.T) {
+func TestSinksSeeEverything(t *testing.T) {
 	p := workload.Profile2019("b", 80)
 	extra := trace.NewMemTrace(trace.Meta{})
-	res := Run(p, Options{Horizon: 4 * sim.Hour, Seed: 5, ExtraSinks: []trace.Sink{extra}})
-	if len(extra.CollectionEvents) != len(res.Trace.CollectionEvents) ||
-		len(extra.UsageRecords) != len(res.Trace.UsageRecords) {
-		t.Fatalf("extra sink missed rows: %s vs %s", extra.Counts(), res.Trace.Counts())
+	res, tr := runRetained(p, Options{Horizon: 4 * sim.Hour, Seed: 5, Sinks: []trace.Sink{extra}})
+	if len(extra.CollectionEvents) != len(tr.CollectionEvents) ||
+		len(extra.UsageRecords) != len(tr.UsageRecords) {
+		t.Fatalf("extra sink missed rows: %s vs %s", extra.Counts(), tr.Counts())
+	}
+	got := trace.RowCounts{Collections: int64(len(extra.CollectionEvents)), Instances: int64(len(extra.InstanceEvents)),
+		Usage: int64(len(extra.UsageRecords)), Machines: int64(len(extra.MachineEvents))}
+	if got != res.Rows {
+		t.Fatalf("sink rows %+v, counted %+v", got, res.Rows)
 	}
 }
 
 func TestIDBaseSeparatesCells(t *testing.T) {
 	p := workload.Profile2019("a", 60)
-	a := Run(p, Options{Horizon: 2 * sim.Hour, Seed: 1, IDBase: 0})
-	b := Run(p, Options{Horizon: 2 * sim.Hour, Seed: 2, IDBase: 1 << 32})
-	for _, ev := range b.Trace.CollectionEvents {
+	_, a := runRetained(p, Options{Horizon: 2 * sim.Hour, Seed: 1, IDBase: 0})
+	_, b := runRetained(p, Options{Horizon: 2 * sim.Hour, Seed: 2, IDBase: 1 << 32})
+	for _, ev := range b.CollectionEvents {
 		if ev.Collection <= 1<<32 {
 			t.Fatalf("collection id %d below IDBase", ev.Collection)
 		}
 	}
-	for _, ev := range a.Trace.CollectionEvents {
+	for _, ev := range a.CollectionEvents {
 		if ev.Collection >= 1<<32 {
 			t.Fatalf("collection id %d above expected range", ev.Collection)
 		}
@@ -142,8 +152,7 @@ func TestIDBaseSeparatesCells(t *testing.T) {
 
 func Test2011ProfileRuns(t *testing.T) {
 	p := workload.Profile2011(120)
-	res := Run(p, Options{Horizon: 8 * sim.Hour, Seed: 11})
-	tr := res.Trace
+	res, tr := runRetained(p, Options{Horizon: 8 * sim.Hour, Seed: 11})
 	if tr.Meta.Era != trace.Era2011 {
 		t.Fatal("era")
 	}
@@ -167,11 +176,11 @@ func Test2011ProfileRuns(t *testing.T) {
 
 func TestDisableAutopilot(t *testing.T) {
 	p := workload.Profile2019("a", 60)
-	res := Run(p, Options{Horizon: 4 * sim.Hour, Seed: 6, DisableAutopilot: true})
+	res, tr := runRetained(p, Options{Horizon: 4 * sim.Hour, Seed: 6, DisableAutopilot: true})
 	if res.AutopilotUpdates != 0 {
 		t.Fatalf("autopilot updates %d with autopilot disabled", res.AutopilotUpdates)
 	}
-	for _, ev := range res.Trace.InstanceEvents {
+	for _, ev := range tr.InstanceEvents {
 		if ev.Type == trace.EventUpdateRunning {
 			t.Fatal("UPDATE_RUNNING with autopilot disabled")
 		}
@@ -179,8 +188,7 @@ func TestDisableAutopilot(t *testing.T) {
 }
 
 func TestSchedulingDelaysPositive(t *testing.T) {
-	res := smallRun(t, 8)
-	tr := res.Trace
+	_, tr := smallRun(t, 8)
 	// For every job with a SCHEDULE, the first SCHEDULE must come at or
 	// after the ENABLE.
 	enable := map[trace.CollectionID]sim.Time{}

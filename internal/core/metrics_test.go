@@ -16,24 +16,24 @@ import (
 // participate (no randomness consumed, no rows written).
 func TestMetricsDoNotChangeTrace(t *testing.T) {
 	opts := Options{Horizon: 8 * sim.Hour, Seed: 7}
-	plain := Run(workload.Profile2019("a", 120), opts)
+	plain, plainTr := runRetained(workload.Profile2019("a", 120), opts)
 
 	reg := metrics.NewRegistry()
 	opts.Metrics = reg
 	opts.Timeline = metrics.NewTimeline()
 	opts.TimelineID = 3
-	instrumented := Run(workload.Profile2019("a", 120), opts)
+	instrumented, instrTr := runRetained(workload.Profile2019("a", 120), opts)
 
-	if !reflect.DeepEqual(plain.Trace.CollectionEvents, instrumented.Trace.CollectionEvents) {
+	if !reflect.DeepEqual(plainTr.CollectionEvents, instrTr.CollectionEvents) {
 		t.Fatal("collection events differ with metrics enabled")
 	}
-	if !reflect.DeepEqual(plain.Trace.InstanceEvents, instrumented.Trace.InstanceEvents) {
+	if !reflect.DeepEqual(plainTr.InstanceEvents, instrTr.InstanceEvents) {
 		t.Fatal("instance events differ with metrics enabled")
 	}
-	if !reflect.DeepEqual(plain.Trace.UsageRecords, instrumented.Trace.UsageRecords) {
+	if !reflect.DeepEqual(plainTr.UsageRecords, instrTr.UsageRecords) {
 		t.Fatal("usage records differ with metrics enabled")
 	}
-	if !reflect.DeepEqual(plain.Trace.MachineEvents, instrumented.Trace.MachineEvents) {
+	if !reflect.DeepEqual(plainTr.MachineEvents, instrTr.MachineEvents) {
 		t.Fatal("machine events differ with metrics enabled")
 	}
 	if plain.Sched != instrumented.Sched {

@@ -87,18 +87,10 @@ func noiseRun(t *testing.T, seed uint64, fast bool) map[string]float64 {
 	t.Helper()
 	p := workload.Profile2019("a", 120)
 	horizon := 8 * sim.Hour
-	red := streaming.NewCellReducer(streaming.Config{
-		Meta: trace.Meta{
-			Era: p.Era, Cell: p.Name, Duration: horizon,
-			Machines: p.Machines, Seed: seed,
-		},
-		SnapshotAt: horizon / 2,
-	})
-	Run(p, Options{
-		RunKnobs: RunKnobs{UsageNoiseFast: fast},
-		Horizon:  horizon, Seed: seed, NoMemTrace: true,
-		ExtraSinks: []trace.Sink{red},
-	})
+	opts := Options{RunKnobs: RunKnobs{UsageNoiseFast: fast}, Horizon: horizon, Seed: seed}
+	red := streaming.NewCellReducer(streaming.Config{Meta: TraceMeta(p, opts), SnapshotAt: horizon / 2})
+	opts.Sinks = []trace.Sink{red}
+	Run(p, opts)
 	out := make(map[string]float64)
 	for _, s := range red.Scalars(horizon / 2) {
 		out[s.Name] = s.Value
@@ -113,10 +105,9 @@ func noiseRun(t *testing.T, seed uint64, fast bool) map[string]float64 {
 func TestUsageNoiseFastOffIsByteIdentical(t *testing.T) {
 	p := workload.Profile2019("a", 120)
 	opts := Options{Horizon: 8 * sim.Hour, Seed: 7}
-	a := Run(p, opts)
+	_, ta := runRetained(p, opts)
 	opts.UsageNoiseFast = false
-	b := Run(workload.Profile2019("a", 120), opts)
-	ta, tb := a.Trace, b.Trace
+	_, tb := runRetained(workload.Profile2019("a", 120), opts)
 	if len(ta.UsageRecords) != len(tb.UsageRecords) {
 		t.Fatalf("usage row counts differ: %d vs %d", len(ta.UsageRecords), len(tb.UsageRecords))
 	}
@@ -130,22 +121,22 @@ func TestUsageNoiseFastOffIsByteIdentical(t *testing.T) {
 func TestUsageNoiseFastChangesTraceDeterministically(t *testing.T) {
 	p := workload.Profile2019("a", 120)
 	opts := Options{RunKnobs: RunKnobs{UsageNoiseFast: true}, Horizon: 4 * sim.Hour, Seed: 7}
-	a := Run(p, opts)
-	b := Run(workload.Profile2019("a", 120), opts)
-	if len(a.Trace.UsageRecords) != len(b.Trace.UsageRecords) {
+	_, a := runRetained(p, opts)
+	_, b := runRetained(workload.Profile2019("a", 120), opts)
+	if len(a.UsageRecords) != len(b.UsageRecords) {
 		t.Fatalf("fast-noise runs not deterministic: %d vs %d usage rows",
-			len(a.Trace.UsageRecords), len(b.Trace.UsageRecords))
+			len(a.UsageRecords), len(b.UsageRecords))
 	}
-	for i := range a.Trace.UsageRecords {
-		if a.Trace.UsageRecords[i] != b.Trace.UsageRecords[i] {
+	for i := range a.UsageRecords {
+		if a.UsageRecords[i] != b.UsageRecords[i] {
 			t.Fatalf("fast-noise usage record %d differs between identical runs", i)
 		}
 	}
-	exact := Run(workload.Profile2019("a", 120), Options{Horizon: 4 * sim.Hour, Seed: 7})
-	same := len(exact.Trace.UsageRecords) == len(a.Trace.UsageRecords)
+	_, exact := runRetained(workload.Profile2019("a", 120), Options{Horizon: 4 * sim.Hour, Seed: 7})
+	same := len(exact.UsageRecords) == len(a.UsageRecords)
 	if same {
-		for i := range a.Trace.UsageRecords {
-			if a.Trace.UsageRecords[i] != exact.Trace.UsageRecords[i] {
+		for i := range a.UsageRecords {
+			if a.UsageRecords[i] != exact.UsageRecords[i] {
 				same = false
 				break
 			}

@@ -95,10 +95,7 @@ func (st *usageBenchState) newBenchSamplerNoise(sink trace.Sink, fastNoise bool)
 // benchReducer builds a CellReducer dimensioned for the bench cell.
 func (st *usageBenchState) benchReducer(horizon sim.Time) *streaming.CellReducer {
 	return streaming.NewCellReducer(streaming.Config{
-		Meta: trace.Meta{
-			Era: st.p.Era, Cell: st.p.Name, Duration: horizon,
-			Machines: st.p.Machines, Seed: 11,
-		},
+		Meta:       TraceMeta(st.p, Options{Horizon: horizon, Seed: 11}),
 		SnapshotAt: horizon / 2,
 	})
 }

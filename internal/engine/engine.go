@@ -39,7 +39,7 @@
 //   - ID spaces: cell i offsets its collection IDs by IDBase(i), giving
 //     every cell a disjoint 2³² ID range so merged traces never collide.
 //
-// Sinks are per cell: each spec's ExtraSinks are driven by the one
+// Sinks are per cell: each spec's Options.Sinks are driven by the one
 // goroutine simulating that cell, so no sink may be shared across specs.
 package engine
 

@@ -37,6 +37,17 @@ func runSpecs(t *testing.T, specs []Spec, parallelism int) []*core.CellResult {
 	return results
 }
 
+// retain attaches a MemTrace built from core.TraceMeta to every spec
+// and returns them in spec order.
+func retain(specs []Spec) []*trace.MemTrace {
+	traces := make([]*trace.MemTrace, len(specs))
+	for i := range specs {
+		traces[i] = trace.NewMemTrace(core.TraceMeta(specs[i].Profile, specs[i].Options))
+		specs[i].Options.Sinks = append(specs[i].Options.Sinks, traces[i])
+	}
+	return traces
+}
+
 // sameTrace compares every row of two traces.
 func sameTrace(t *testing.T, cell string, a, b *trace.MemTrace) {
 	t.Helper()
@@ -55,14 +66,18 @@ func sameTrace(t *testing.T, cell string, a, b *trace.MemTrace) {
 }
 
 func TestParallelismDoesNotChangeTraces(t *testing.T) {
-	serial := runSpecs(t, testSpecs(7), 1)
+	serialSpecs := testSpecs(7)
+	serialTraces := retain(serialSpecs)
+	serial := runSpecs(t, serialSpecs, 1)
 	for _, par := range []int{2, 8} {
-		parallel := runSpecs(t, testSpecs(7), par)
+		parallelSpecs := testSpecs(7)
+		parallelTraces := retain(parallelSpecs)
+		parallel := runSpecs(t, parallelSpecs, par)
 		if len(parallel) != len(serial) {
 			t.Fatalf("result count %d", len(parallel))
 		}
 		for i := range serial {
-			sameTrace(t, serial[i].Profile.Name, serial[i].Trace, parallel[i].Trace)
+			sameTrace(t, serial[i].Profile.Name, serialTraces[i], parallelTraces[i])
 			if serial[i].Rows != parallel[i].Rows {
 				t.Fatalf("cell %d row counts differ", i)
 			}
@@ -75,7 +90,7 @@ func TestOnResultStreamsInSpecOrder(t *testing.T) {
 	p := specPlan(testSpecs(3), 8)
 	p.OnResult = func(i int, res *core.CellResult) {
 		order = append(order, i)
-		if res == nil || res.Trace == nil {
+		if res == nil || res.Rows.Total() == 0 {
 			t.Errorf("empty result at %d", i)
 		}
 	}
@@ -89,25 +104,6 @@ func TestOnResultStreamsInSpecOrder(t *testing.T) {
 		if got != i {
 			t.Fatalf("out-of-order delivery: %v", order)
 		}
-	}
-}
-
-func TestNoMemTraceStreamsWithoutRetention(t *testing.T) {
-	counter := &trace.CountingSink{}
-	specs := []Spec{NewSpec(0, workload.Profile2019("c", 30), core.Options{
-		Horizon:    1 * sim.Hour,
-		NoMemTrace: true,
-		ExtraSinks: []trace.Sink{counter},
-	}, 5)}
-	res := runSpecs(t, specs, 1)[0]
-	if res.Trace != nil {
-		t.Fatal("trace retained despite NoMemTrace")
-	}
-	if res.Rows.Total() == 0 {
-		t.Fatal("no rows counted")
-	}
-	if counter.Counts() != res.Rows {
-		t.Fatalf("sink saw %+v, counter %+v", counter.Counts(), res.Rows)
 	}
 }
 
@@ -157,10 +153,9 @@ func TestSpecSinksPerCell(t *testing.T) {
 		Cells: len(specs), Parallelism: len(specs),
 		Spec: func(i int) Spec {
 			s := specs[i]
-			s.Options.NoMemTrace = true
 			if i != 1 { // spec 1 keeps its pipeline unchanged
 				counters[i] = &trace.CountingSink{}
-				s.Options.ExtraSinks = append(s.Options.ExtraSinks, counters[i])
+				s.Options.Sinks = append(s.Options.Sinks, counters[i])
 			}
 			return s
 		},
@@ -207,7 +202,7 @@ func TestDeriveGridSeed(t *testing.T) {
 func TestSlowOnResultStallsOnlyDeliveringWorker(t *testing.T) {
 	const n = 4
 	started := make(chan int, n)
-	base := core.Options{Horizon: sim.Hour, NoMemTrace: true}
+	base := core.Options{Horizon: sim.Hour}
 	var order []int
 	err := Run(Plan{
 		Cells: n, Parallelism: 2,
@@ -247,11 +242,10 @@ func TestSlowOnResultStallsOnlyDeliveringWorker(t *testing.T) {
 
 // TestRunSameResultsAtParallelism1And8 runs one lazily built plan at
 // parallelism 1 and 8: the same per-cell row counts in the same order,
-// no retained MemTrace under NoMemTrace, and every cell's Spec called
-// exactly once.
+// and every cell's Spec called exactly once.
 func TestRunSameResultsAtParallelism1And8(t *testing.T) {
 	const n = 6
-	base := core.Options{Horizon: sim.Hour, NoMemTrace: true}
+	base := core.Options{Horizon: sim.Hour}
 	var want []trace.RowCounts
 	for _, par := range []int{1, 8} {
 		calls := make([]int32, n)
@@ -266,9 +260,6 @@ func TestRunSameResultsAtParallelism1And8(t *testing.T) {
 			OnResult: func(i int, res *core.CellResult) {
 				order = append(order, i)
 				rows = append(rows, res.Rows)
-				if res.Trace != nil {
-					t.Errorf("par %d: MemTrace retained for cell %d", par, i)
-				}
 			},
 		})
 		if err != nil {
@@ -297,7 +288,7 @@ func TestRunSameResultsAtParallelism1And8(t *testing.T) {
 // unknown placement policy) in cells 2 and 4 of six. At any parallelism
 // Run returns the CellError of cell 2 and delivers exactly cells 0 and 1.
 func TestRunCellPanic(t *testing.T) {
-	base := core.Options{Horizon: sim.Hour, NoMemTrace: true}
+	base := core.Options{Horizon: sim.Hour}
 	specs := make([]Spec, 6)
 	for i, cell := range []string{"a", "b", "c", "d", "e", "f"} {
 		specs[i] = NewSpec(i, workload.Profile2019(cell, 20), base, 13)
@@ -377,7 +368,7 @@ func TestDeriveSeedFleetScaleDistinct(t *testing.T) {
 // index's disjoint ID space.
 func TestNewGridSpec(t *testing.T) {
 	p := workload.Profile2019("a", 10)
-	base := core.Options{Horizon: 2 * sim.Hour, NoMemTrace: true}
+	base := core.Options{Horizon: 2 * sim.Hour, DisableAutopilot: true}
 	spec := NewGridSpec(2, 4, 23, p, base, 9)
 	if spec.Options.Seed != DeriveGridSeed(9, 2, 4) {
 		t.Fatalf("grid spec seed %d", spec.Options.Seed)
@@ -385,7 +376,7 @@ func TestNewGridSpec(t *testing.T) {
 	if spec.Options.IDBase != IDBase(23) {
 		t.Fatalf("grid spec ID base %d", spec.Options.IDBase)
 	}
-	if spec.Profile != p || !spec.Options.NoMemTrace || spec.Options.Horizon != 2*sim.Hour {
+	if spec.Profile != p || !spec.Options.DisableAutopilot || spec.Options.Horizon != 2*sim.Hour {
 		t.Fatal("grid spec dropped base options or profile")
 	}
 }

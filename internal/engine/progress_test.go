@@ -1,9 +1,9 @@
-// Package progress_test checks the progress lines of multi-cell runs
-// from the outside: the reporter itself lives in engine.Run, which counts
-// cells started and done and prints "<label>: d/n done, k in flight, …"
-// to Plan.Progress. These tests drive it only through the engine's
-// public Plan, the way the suite, sweep and fleet front-ends do.
-package progress_test
+// These tests check the progress lines of multi-cell runs from the
+// outside: engine.Run counts cells started and done and prints
+// "<label>: d/n done, k in flight, …" to Plan.Progress. They drive it
+// only through the engine's public Plan, the way the suite, sweep and
+// fleet front-ends do.
+package engine_test
 
 import (
 	"bytes"

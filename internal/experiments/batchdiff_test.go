@@ -43,7 +43,6 @@ func runSuiteStreamingDelivery(t *testing.T, sc Scale, exportDir string, scalar 
 
 	var exports []*trace.DirSink
 	for i := range specs {
-		specs[i].Options.NoMemTrace = true
 		shard := filepath.Join(exportDir, ShardDirName(i, specs[i].Profile.Name))
 		ds, err := trace.NewDirSink(shard, reducers[i].Meta())
 		if err != nil {
@@ -54,7 +53,7 @@ func runSuiteStreamingDelivery(t *testing.T, sc Scale, exportDir string, scalar 
 		if scalar {
 			reducer, export = oneRecordBlocks{reducer}, oneRecordBlocks{export}
 		}
-		specs[i].Options.ExtraSinks = append(specs[i].Options.ExtraSinks, reducer, export)
+		specs[i].Options.Sinks = append(specs[i].Options.Sinks, reducer, export)
 	}
 
 	s := &Suite{Scale: sc, cells: reducers}

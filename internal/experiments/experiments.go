@@ -5,12 +5,12 @@
 // of EXPERIMENTS.md.
 //
 // The report has one analysis implementation: one streaming.CellReducer
-// per cell, fed either live or by streaming.Replay. RunSuiteStreaming
-// attaches the reducers to each cell's sink pipeline and simulates with
-// core.Options.NoMemTrace, folding every row online so memory stays
-// bounded by the number of jobs rather than the number of trace rows.
-// RunSuite retains each cell's MemTrace instead, and Suite.WriteReport
-// replays the retained traces through fresh reducers on first use. Both
+// per cell, fed either live or by streaming.Replay. The two runners
+// differ only in the sink each cell gets. RunSuiteStreaming attaches the
+// reducers, folding every row online so memory stays bounded by the
+// number of jobs rather than the number of trace rows. RunSuite attaches
+// a trace.MemTrace instead, and Suite.WriteReport replays the retained
+// traces through fresh reducers on first use. Both
 // produce byte-identical reports for the same scale and seed (the
 // differential test in this package is CI's acceptance gate for that),
 // and the reducer itself is checked against a test-only walker oracle in
@@ -100,7 +100,7 @@ type Suite struct {
 	Scale Scale
 	T2011 *trace.MemTrace   // nil when streamed
 	T2019 []*trace.MemTrace // cells a–h in order; nil when streamed
-	Stats []core.CellResult // CellResult.Trace is nil when streamed
+	Stats []core.CellResult
 
 	cells []*streaming.CellReducer // 2011 cell, then a–h; see reducers
 }
@@ -154,75 +154,79 @@ func SuiteSpecs(sc Scale) []engine.Spec {
 }
 
 // RunSuite simulates the 2011 cell and the eight 2019 cells, sc.Parallelism
-// cells at a time, retaining every cell's full trace in memory. A cell
-// that panics re-panics here, on the caller's goroutine, with its
-// *engine.CellError.
+// cells at a time, attaching a MemTrace to every cell so the suite
+// retains each cell's full trace in memory. A cell that panics re-panics
+// here, on the caller's goroutine, with its *engine.CellError.
 func RunSuite(sc Scale) *Suite {
-	s, err := runSuite(sc, false, StreamingOptions{}) // no exports: only a cell can fail
+	s, err := runSuite(sc, true, StreamingOptions{}) // no exports: only a cell can fail
 	if err != nil {
 		panic(err)
 	}
 	return s
 }
 
-// RunSuiteStreaming simulates the nine-cell suite with NoMemTrace: every
-// trace row streams through the per-cell reducer (and optional CSV export
-// shard) and is dropped, so memory stays bounded by per-job reducer state
-// instead of growing with the horizon. A cell that panics is returned as
-// its *engine.CellError.
+// RunSuiteStreaming simulates the nine-cell suite retaining no trace:
+// every trace row streams through the per-cell reducer (and optional CSV
+// export shard) and is dropped, so memory stays bounded by per-job
+// reducer state instead of growing with the horizon. A cell that panics
+// is returned as its *engine.CellError.
 func RunSuiteStreaming(sc Scale, opts StreamingOptions) (*Suite, error) {
-	return runSuite(sc, true, opts)
+	return runSuite(sc, false, opts)
 }
 
-// runSuite is the body of both runners: stream selects live reducers
-// (and opts' export shards) over trace retention.
-func runSuite(sc Scale, stream bool, opts StreamingOptions) (*Suite, error) {
+// runSuite is the body of both runners; only the sinks each cell gets
+// differ. With retain, every cell gets a MemTrace and the suite keeps
+// them as T2011/T2019; otherwise every cell gets a live reducer (and
+// opts' export shard).
+func runSuite(sc Scale, retain bool, opts StreamingOptions) (*Suite, error) {
 	specs := SuiteSpecs(sc)
 	s := &Suite{Scale: sc}
 	var exports []*trace.DirSink
-	if stream {
-		s.cells = make([]*streaming.CellReducer, len(specs))
-		for i := range specs {
-			s.cells[i] = NewCellReducerFor(specs[i])
-			o := &specs[i].Options
-			o.NoMemTrace = true
-			o.ExtraSinks = append(o.ExtraSinks, s.cells[i])
-			if opts.ExportDir == "" {
-				continue
+	// closeExports closes every export shard, returning err or else the
+	// first close error.
+	closeExports := func(err error) error {
+		for _, ds := range exports {
+			if cerr := ds.Close(); err == nil {
+				err = cerr
 			}
-			shard := filepath.Join(opts.ExportDir, ShardDirName(i, specs[i].Profile.Name))
-			ds, err := trace.NewDirSink(shard, s.cells[i].Meta())
-			if err != nil {
-				closeExports(exports)
-				return nil, err
-			}
-			exports = append(exports, ds)
-			o.ExtraSinks = append(o.ExtraSinks, ds)
 		}
+		return err
+	}
+	for i := range specs {
+		o := &specs[i].Options
+		if retain {
+			mem := trace.NewMemTrace(core.TraceMeta(specs[i].Profile, *o))
+			if i == 0 {
+				s.T2011 = mem
+			} else {
+				s.T2019 = append(s.T2019, mem)
+			}
+			o.Sinks = append(o.Sinks, mem)
+			continue
+		}
+		red := NewCellReducerFor(specs[i])
+		s.cells = append(s.cells, red)
+		o.Sinks = append(o.Sinks, red)
+		if opts.ExportDir == "" {
+			continue
+		}
+		shard := filepath.Join(opts.ExportDir, ShardDirName(i, specs[i].Profile.Name))
+		ds, err := trace.NewDirSink(shard, red.Meta())
+		if err != nil {
+			return nil, closeExports(err)
+		}
+		exports = append(exports, ds)
+		o.Sinks = append(o.Sinks, ds)
 	}
 
-	var traces []*trace.MemTrace
 	err := engine.Run(engine.Plan{
 		Label: "suite", Cells: len(specs), Parallelism: sc.Parallelism,
 		Progress: sc.Progress, Metrics: sc.Metrics, Timeline: sc.Timeline,
-		Spec: func(i int) engine.Spec { return specs[i] },
-		OnResult: func(_ int, r *core.CellResult) {
-			s.Stats = append(s.Stats, *r)
-			traces = append(traces, r.Trace)
-		},
+		Spec:     func(i int) engine.Spec { return specs[i] },
+		OnResult: func(_ int, r *core.CellResult) { s.Stats = append(s.Stats, *r) },
 	})
-	if err != nil {
-		closeExports(exports)
+	if err := closeExports(err); err != nil {
 		return nil, err
-	}
-	if !stream {
-		s.T2011, s.T2019 = traces[0], traces[1:]
-	}
-	for _, ds := range exports {
-		if err := ds.Close(); err != nil {
-			closeExports(exports)
-			return nil, err
-		}
 	}
 	return s, nil
 }
@@ -246,7 +250,7 @@ func (s *Suite) reducers() (c2011 *streaming.CellReducer, c2019 []*streaming.Cel
 	if s.cells == nil {
 		for _, tr := range append([]*trace.MemTrace{s.T2011}, s.T2019...) {
 			s.cells = append(s.cells, streaming.Replay(tr,
-				streaming.Config{Meta: tr.Meta, SnapshotAt: s.Scale.Horizon / 2}))
+				streaming.Config{Meta: tr.Meta, SnapshotAt: tr.Meta.Duration / 2}))
 		}
 	}
 	return s.cells[0], s.cells[1:]

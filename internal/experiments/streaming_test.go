@@ -8,9 +8,33 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/sim"
 	"repro/internal/trace"
+	"repro/internal/workload"
 )
+
+// TestTraceMetaMatchesRunAndReducer pins the one derivation of a cell's
+// trace metadata: with Horizon 0, core.TraceMeta stamps the 24 h that
+// core.Run simulates, and NewCellReducerFor's reducer carries the same
+// Meta.
+func TestTraceMetaMatchesRunAndReducer(t *testing.T) {
+	spec := engine.NewSpec(3, workload.Profile2019("d", 6), core.Options{}, 5)
+	meta := core.TraceMeta(spec.Profile, spec.Options)
+	want := trace.Meta{Era: trace.Era2019, Cell: "d", Duration: 24 * sim.Hour, Machines: 6, Seed: spec.Options.Seed}
+	if meta != want {
+		t.Fatalf("TraceMeta = %+v, want %+v", meta, want)
+	}
+	if got := NewCellReducerFor(spec).Meta(); got != meta {
+		t.Fatalf("reducer Meta = %+v, TraceMeta %+v", got, meta)
+	}
+	explicit := spec.Options
+	explicit.Horizon = meta.Duration
+	if got, want := core.Run(spec.Profile, spec.Options).Rows, core.Run(spec.Profile, explicit).Rows; got != want {
+		t.Fatalf("Horizon 0 emits %+v rows, Horizon %v emits %+v", got, meta.Duration, want)
+	}
+}
 
 // streamScale is small enough for CI but large enough that every figure
 // has non-trivial content in all nine cells.
@@ -20,7 +44,7 @@ func streamScale() Scale {
 }
 
 // TestStreamingReportMatchesRetained is the tentpole acceptance gate: the
-// full nine-cell suite run with NoMemTrace, its reducers fed live, must
+// full nine-cell suite run retaining no trace, its reducers fed live, must
 // produce a report byte-identical to the retained suite's, whose reducers
 // are fed by Replay, on the same seed.
 func TestStreamingReportMatchesRetained(t *testing.T) {
@@ -32,9 +56,6 @@ func TestStreamingReportMatchesRetained(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, res := range streamed.Stats {
-		if res.Trace != nil {
-			t.Fatalf("cell %d retained a trace despite NoMemTrace", i)
-		}
 		if res.Rows.Total() == 0 {
 			t.Fatalf("cell %d emitted no rows", i)
 		}

@@ -18,7 +18,7 @@
 // # Bounded memory and rollup determinism
 //
 // Cells are streamed through one engine.Run plan: specs (profile + one
-// streaming.CellReducer sink, NoMemTrace) materialize as workers pick
+// streaming.CellReducer sink, no retained trace) materialize as workers pick
 // up indices and are released as soon as each cell's scalars have been
 // folded into the rollup, so peak state is O(Parallelism) cells — not
 // O(fleet). The rollup itself is one mergeable t-digest
@@ -104,23 +104,13 @@ type Report struct {
 func cellName(i int) string { return fmt.Sprintf("f%03d", i) }
 
 // Spec expands fleet cell i into its engine spec: sampled profile,
-// derived seed, disjoint ID space, NoMemTrace. It is exported so tests
+// derived seed, disjoint ID space, no sinks. It is exported so tests
 // (and future front-ends) can reproduce exactly the spec the fleet
 // would run.
 func (cfg Config) Spec(i int) engine.Spec {
-	seed := engine.DeriveSeed(cfg.Seed, i)
 	p := workload.SampleFleetProfile(cellName(i), cfg.medianMachines(),
-		rng.New(seed).Split("fleet-profile"))
-	return engine.Spec{
-		Profile: p,
-		Options: core.Options{
-			RunKnobs:   cfg.RunKnobs,
-			Horizon:    cfg.horizon(),
-			Seed:       seed,
-			IDBase:     engine.IDBase(i),
-			NoMemTrace: true,
-		},
-	}
+		rng.New(engine.DeriveSeed(cfg.Seed, i)).Split("fleet-profile"))
+	return engine.NewSpec(i, p, core.Options{RunKnobs: cfg.RunKnobs, Horizon: cfg.horizon()}, cfg.Seed)
 }
 
 func (cfg Config) medianMachines() int {
@@ -175,7 +165,7 @@ func Run(cfg Config) *Report {
 		Spec: func(i int) engine.Spec {
 			spec := cfg.Spec(i)
 			reducers[i] = experiments.NewCellReducerFor(spec)
-			spec.Options.ExtraSinks = append(spec.Options.ExtraSinks, reducers[i])
+			spec.Options.Sinks = append(spec.Options.Sinks, reducers[i])
 			return spec
 		},
 		OnResult: func(i int, res *core.CellResult) {

@@ -126,9 +126,6 @@ func TestFleetSpecContract(t *testing.T) {
 	if a.Profile.Name != "f003" {
 		t.Fatalf("cell name %q", a.Profile.Name)
 	}
-	if !a.Options.NoMemTrace {
-		t.Fatal("fleet specs must not retain MemTraces")
-	}
 	if a.Options.IDBase == cfg.Spec(4).Options.IDBase {
 		t.Fatal("fleet cells share an ID space")
 	}

@@ -114,8 +114,8 @@ func MetricNames() []string {
 }
 
 // Run expands the sweep's seed × variant × cell grid, simulates every
-// point through the engine with per-spec streaming reducers (NoMemTrace;
-// no trace is ever retained), and aggregates cross-seed statistics.
+// point through the engine with per-spec streaming reducers (no trace is
+// ever retained), and aggregates cross-seed statistics.
 func Run(d Def) (*Result, error) {
 	if d.Seeds <= 0 {
 		return nil, fmt.Errorf("sweep: Seeds must be >= 1, got %d", d.Seeds)
@@ -139,8 +139,7 @@ func Run(d Def) (*Result, error) {
 	n := d.Seeds * len(variants) * cells
 	reducers := make([]*streaming.CellReducer, n)
 	results := make([]*core.CellResult, n)
-	base := core.Options{Horizon: d.Scale.Horizon, NoMemTrace: true,
-		TimelineWarmup: d.Scale.Warmup}
+	base := core.Options{Horizon: d.Scale.Horizon, TimelineWarmup: d.Scale.Warmup}
 	base.UsageNoiseFast = d.Scale.UsageNoiseFast
 	// Grid points feed the sweep-level registry/timeline like suite cells
 	// feed a suite's: one private registry per point, merged in grid
@@ -163,7 +162,7 @@ func Run(d Def) (*Result, error) {
 				spec.Options.Replay = d.Scale.Replay[c]
 			}
 			reducers[flat] = experiments.NewCellReducerFor(spec)
-			spec.Options.ExtraSinks = append(spec.Options.ExtraSinks, reducers[flat])
+			spec.Options.Sinks = append(spec.Options.Sinks, reducers[flat])
 			return spec
 		},
 		OnResult: func(flat int, r *core.CellResult) { results[flat] = r },

@@ -72,6 +72,9 @@ func New(cols ...Column) *Table {
 	return t
 }
 
+// Columns returns a copy of the schema, in column order.
+func (t *Table) Columns() []Column { return append([]Column(nil), t.cols...) }
+
 // NumRows returns the number of rows.
 func (t *Table) NumRows() int { return t.rows }
 

@@ -32,6 +32,7 @@ func TestValidatorMatchesOracleOnSuite(t *testing.T) {
 		profiles = append(profiles, workload.Profile2019(cell, 50))
 	}
 	live := make([]*trace.Validator, len(profiles))
+	retained := make([]*trace.MemTrace, len(profiles))
 	opts := untruncated()
 	cells := 0
 	err := engine.Run(engine.Plan{
@@ -40,12 +41,13 @@ func TestValidatorMatchesOracleOnSuite(t *testing.T) {
 		Spec: func(i int) engine.Spec {
 			spec := engine.NewSpec(i, profiles[i], core.Options{Horizon: horizon}, root)
 			live[i] = trace.NewValidator(opts)
-			spec.Options.ExtraSinks = []trace.Sink{live[i]}
+			retained[i] = trace.NewMemTrace(core.TraceMeta(spec.Profile, spec.Options))
+			spec.Options.Sinks = []trace.Sink{live[i], retained[i]}
 			return spec
 		},
-		OnResult: func(i int, res *core.CellResult) {
+		OnResult: func(i int, _ *core.CellResult) {
 			cells++
-			tr := res.Trace
+			tr := retained[i]
 			want := trace.ViolationSet(trace.ValidateOracle(tr, opts))
 			if len(want) != 0 {
 				t.Errorf("cell %s: oracle finds %d violations, first %s", tr.Meta.Cell, len(want), want[0])

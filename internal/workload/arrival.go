@@ -159,6 +159,11 @@ func ArrivalNames() []string {
 // scans all k clients, so a larger k would dominate the run's cost.
 const MaxCohorts = 10000
 
+// MinArrivalCV and MaxArrivalCV bound the cv knob of gamma, weibull and
+// cohorts: inside the range dist.WeibullShapeFromCV solves without
+// clamping (about 0.02 to 2300), and gamma shapes 1/cv² within [0.01, 100].
+const MinArrivalCV, MaxArrivalCV = 0.1, 10.0
+
 // ParseArrival parses an arrival-process spec string:
 //
 //	name[:knob=value[,knob=value...]]
@@ -179,8 +184,8 @@ const MaxCohorts = 10000
 //
 // An empty spec selects poisson. Unknown process and knob names error
 // with the valid set, so a typo never silently simulates the wrong
-// workload. Every knob value must be positive and finite, and k at most
-// MaxCohorts.
+// workload. Every knob value must be positive and finite, k at most
+// MaxCohorts, and cv within [MinArrivalCV, MaxArrivalCV].
 func ParseArrival(spec string) (ArrivalSpec, error) {
 	raw := strings.TrimSpace(spec)
 	if raw == "" {
@@ -231,6 +236,9 @@ func ParseArrival(spec string) (ArrivalSpec, error) {
 		}
 		if knob == "k" && v > MaxCohorts {
 			return ArrivalSpec{}, fmt.Errorf("workload: arrival knob k=%g in %q exceeds the maximum of %d clients", v, raw, MaxCohorts)
+		}
+		if knob == "cv" && (v < MinArrivalCV || v > MaxArrivalCV) {
+			return ArrivalSpec{}, fmt.Errorf("workload: arrival knob cv=%g in %q is outside [%g, %g]", v, raw, MinArrivalCV, MaxArrivalCV)
 		}
 		out.Knobs[knob] = v
 	}

@@ -1,10 +1,12 @@
 package workload
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
 
+	"repro/internal/dist"
 	"repro/internal/rng"
 	"repro/internal/sim"
 )
@@ -31,6 +33,10 @@ func TestParseArrivalErrorsListValidSets(t *testing.T) {
 		{"cohorts:k=Inf", `arrival knob k=+Inf in "cohorts:k=Inf" must be positive and finite`},
 		{"cohorts:k=1e12", `arrival knob k=1e+12 in "cohorts:k=1e12" exceeds the maximum of 10000 clients`},
 		{"cohorts:k", `bad arrival knob "k" in "cohorts:k" (want knob=value)`},
+		{"gamma:cv=1e6", `arrival knob cv=1e+06 in "gamma:cv=1e6" is outside [0.1, 10]`},
+		{"weibull:cv=5000", `arrival knob cv=5000 in "weibull:cv=5000" is outside [0.1, 10]`},
+		{"weibull:cv=0.01", `arrival knob cv=0.01 in "weibull:cv=0.01" is outside [0.1, 10]`},
+		{"cohorts:k=40+cv=10.5", `arrival knob cv=10.5 in "cohorts:k=40+cv=10.5" is outside [0.1, 10]`},
 	}
 	for _, tc := range cases {
 		_, err := ParseArrival(tc.spec)
@@ -39,6 +45,27 @@ func TestParseArrivalErrorsListValidSets(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("ParseArrival(%q) error %q, want it to contain %q", tc.spec, err, tc.want)
+		}
+	}
+}
+
+// TestArrivalCVBounds pins the cv range: both ends parse for every
+// process that takes cv, and dist.WeibullShapeFromCV solves both without
+// clamping its shape to [0.08, 64], so weibull runs at the cv asked for.
+func TestArrivalCVBounds(t *testing.T) {
+	for _, cv := range []float64{MinArrivalCV, MaxArrivalCV} {
+		for _, name := range []string{"gamma", "weibull", "cohorts"} {
+			if _, err := ParseArrival(fmt.Sprintf("%s:cv=%g", name, cv)); err != nil {
+				t.Errorf("cv=%g rejected: %v", cv, err)
+			}
+		}
+		shape := dist.WeibullShapeFromCV(cv)
+		if shape <= 0.08 || shape >= 64 {
+			t.Fatalf("cv=%g solves to the clamped Weibull shape %g", cv, shape)
+		}
+		g1, g2 := math.Gamma(1+1/shape), math.Gamma(1+2/shape)
+		if got := math.Sqrt(g2/(g1*g1) - 1); math.Abs(got-cv) > 1e-6*cv {
+			t.Fatalf("cv=%g: Weibull shape %g has cv %g", cv, shape, got)
 		}
 	}
 }

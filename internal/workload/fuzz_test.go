@@ -69,6 +69,7 @@ func FuzzParseArrival(f *testing.F) {
 	for _, spec := range []string{
 		"", "poisson", "gamma:cv=2.5", "weibull:cv=3", "cohorts:k=40,skew=1.5,cv=2",
 		"cohorts:k=40+skew=1.5", "gamma:cv=NaN", "gamma:cv=Inf", "cohorts:k=1e12", "cohorts:k=Inf",
+		"gamma:cv=1e6", "weibull:cv=5000", "weibull:cv=0.01", "gamma:cv=0.1", "cohorts:cv=10",
 	} {
 		f.Add(spec)
 	}
@@ -84,6 +85,9 @@ func FuzzParseArrival(f *testing.F) {
 		}
 		if k := s.Knobs["k"]; k > MaxCohorts {
 			t.Fatalf("ParseArrival(%q) accepted k=%g above MaxCohorts", spec, k)
+		}
+		if cv, ok := s.Knobs["cv"]; ok && (cv < MinArrivalCV || cv > MaxArrivalCV) {
+			t.Fatalf("ParseArrival(%q) accepted cv=%g outside [MinArrivalCV, MaxArrivalCV]", spec, cv)
 		}
 	})
 }
